@@ -118,10 +118,9 @@ std::optional<Duration> ParseDuration(std::string_view s) {
   if (s.empty()) return std::nullopt;
   size_t i = 0;
   while (i < s.size() && (IsDigit(s[i]) || s[i] == '.' || s[i] == '-')) ++i;
-  auto num = ParseDouble(s.substr(0, i));
-  if (!num) return std::nullopt;
+  std::string_view num = s.substr(0, i);
   std::string_view unit = s.substr(i);
-  double scale;
+  Duration scale;
   if (unit == "us") {
     scale = kMicrosecond;
   } else if (unit == "ms") {
@@ -137,7 +136,19 @@ std::optional<Duration> ParseDuration(std::string_view s) {
   } else {
     return std::nullopt;
   }
-  return static_cast<Duration>(*num * scale);
+  // Whole numbers stay exact; either way a value that does not fit int64
+  // microseconds is an error, not an overflowed cast.
+  if (num.find('.') == std::string_view::npos) {
+    auto n = ParseInt(num);
+    Duration d;
+    if (!n || __builtin_mul_overflow(*n, scale, &d)) return std::nullopt;
+    return d;
+  }
+  auto x = ParseDouble(num);
+  if (!x) return std::nullopt;
+  double d = *x * static_cast<double>(scale);
+  if (!(d >= -0x1p63 && d < 0x1p63)) return std::nullopt;
+  return static_cast<Duration>(d);
 }
 
 TimePoint RealClock::Now() const {

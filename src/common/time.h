@@ -52,6 +52,7 @@ std::string FormatDuration(Duration d);
 std::optional<TimePoint> ParseTime(std::string_view s);
 
 /// Parses a config-style duration: "500ms", "30s", "5m", "2h", "1d".
+/// Returns nullopt when the value does not fit int64 microseconds.
 std::optional<Duration> ParseDuration(std::string_view s);
 
 /// Clock abstraction so every Bistro component can run under real time

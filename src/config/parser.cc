@@ -1,1213 +1,748 @@
 #include "config/parser.h"
 
-#include <cctype>
+#include <algorithm>
+#include <climits>
+#include <limits>
+#include <map>
+#include <ranges>
 #include <set>
+#include <type_traits>
 
 #include "common/strings.h"
+#include "config/syntax.h"
 #include "pattern/pattern.h"
 
 namespace bistro {
 
 namespace {
 
-// ------------------------------------------------------------------ Lexer
+// Every key of the language is one row of Table(): its block, the kind
+// of value it takes, where the value lands in the block's spec.h struct,
+// and its bounds. One generic loop parses, validates and formats every
+// row. A key's default is its value in a default-constructed spec, and
+// FormatConfig omits a field that still holds it. Keys with syntax of
+// their own point at a parse/format handler pair.
 
-enum class TokKind { kIdent, kString, kNumberUnit, kPunct, kEof };
+enum class Block {
+  kFeed, kSubscriber, kGroup, kDelivery, kIngest, kAnalyzer, kReceipts,
+  kClassifier, kPlan, kServer, kPeer, kRelay,
+};
+constexpr const char* kBlockNames[] = {
+    "feed",     "subscriber", "group", "delivery", "ingest", "analyzer",
+    "receipts", "classifier", "plan",  "server",   "peer",   "relay"};
 
-struct Token {
-  TokKind kind = TokKind::kEof;
-  std::string text;
-  int line = 0;
+std::string BlockName(Block b) { return kBlockNames[static_cast<int>(b)]; }
+
+// Calls f(block, field) for each block field of a ServerConfig, in
+// FormatConfig order: a vector for named blocks, the spec for the others.
+template <class Config, class F>
+void ForEachBlock(Config& c, F f) {
+  f(Block::kFeed, c.feeds);
+  f(Block::kSubscriber, c.subscribers);
+  f(Block::kGroup, c.groups);
+  f(Block::kDelivery, c.delivery);
+  f(Block::kIngest, c.ingest);
+  f(Block::kAnalyzer, c.analyzer);
+  f(Block::kReceipts, c.receipts);
+  f(Block::kClassifier, c.classifier);
+  f(Block::kPlan, c.plans);
+  f(Block::kServer, c.server);
+  f(Block::kPeer, c.peers);
+  f(Block::kRelay, c.relays);
+}
+
+enum class Kind {
+  kString,     // "quoted"
+  kPattern,    // "quoted", compiled as a Bistro pattern at load time
+  kIdent,
+  kIdentList,  // a, b, c (each one of `words` when the row lists any)
+  kInt,        // also range-checked against the field's C++ type
+  kDouble,
+  kDuration,   // never negative
+  kEnum,       // one of `words`, stored as the word, its index or a bool
+  kIrregular,  // syntax of its own, read by the row's handler pair
 };
 
-class Lexer {
- public:
-  explicit Lexer(std::string_view src) : src_(src) {}
+enum Flags {
+  kRequired = 1,     // the block is invalid without it
+  kWriteAlways = 2,  // formatted even at its default
+  kAlias = 4,        // parse-only spelling of the row above it
+  kAboveLo = 8,      // `lo` is an exclusive bound
+};
 
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> out;
-    while (pos_ < src_.size()) {
-      char c = src_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '#') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
-      } else if (c == '"') {
-        BISTRO_ASSIGN_OR_RETURN(Token t, LexString());
-        out.push_back(std::move(t));
-      } else if (IsAlpha(c) || c == '_') {
-        out.push_back(LexIdent());
-      } else if (IsDigit(c) || c == '-') {
-        out.push_back(LexNumberUnit());
-      } else if (c == '{' || c == '}' || c == ';' || c == ',') {
-        out.push_back(Token{TokKind::kPunct, std::string(1, c), line_});
-        ++pos_;
+constexpr double kNoMax = std::numeric_limits<double>::infinity();
+
+struct Row;
+using Values = std::vector<std::string>;
+// Parses one value into the block's spec / lists the values the spec
+// formats to, one per line ("" = the bare key), none at the default.
+struct Access {
+  Status (*parse)(TokenCursor&, const Row&, void* spec);
+  Values (*format)(const Row&, const void* spec);
+};
+
+struct Opts {
+  double lo = 0;  // bounds of numbers and durations
+  double hi = kNoMax;
+  std::vector<std::string> words = {};  // enum values / syntax keywords
+  int flags = 0;
+};
+
+struct Row {
+  Block block;
+  const char* key;
+  Kind kind;
+  Access access;
+  Opts opts = {};
+};
+
+// The next value of a string-like row: a quoted string (compiled when a
+// pattern) or an identifier, one of the row's words when it has any.
+Result<std::string> TakeText(TokenCursor& c, const Row& row) {
+  if (row.kind == Kind::kString || row.kind == Kind::kPattern) {
+    BISTRO_ASSIGN_OR_RETURN(std::string text, c.TakeString());
+    // Validate early: load-time errors beat classification-time errors.
+    if (row.kind == Kind::kPattern) {
+      BISTRO_RETURN_IF_ERROR(Pattern::Compile(text).status());
+    }
+    return text;
+  }
+  if (row.opts.words.empty()) return c.TakeIdent();
+  for (const std::string& word : row.opts.words) {
+    if (c.TakeWord(word)) return word;
+  }
+  return c.Err(std::string(row.key) + " must be one of " +
+               Join(row.opts.words, ", "));
+}
+
+size_t WordIndex(const Row& row, const std::string& word) {
+  const std::vector<std::string>& words = row.opts.words;
+  return std::find(words.begin(), words.end(), word) - words.begin();
+}
+
+template <class T>
+constexpr bool kIsOptional = false;
+template <class T>
+constexpr bool kIsOptional<std::optional<T>> = true;
+
+template <class T>
+Status Read(TokenCursor& c, const Row& row, T* out) {
+  const Opts& o = row.opts;
+  if constexpr (kIsOptional<T>) {
+    typename T::value_type v{};
+    BISTRO_RETURN_IF_ERROR(Read(c, row, &v));
+    *out = std::move(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    BISTRO_ASSIGN_OR_RETURN(*out, TakeText(c, row));
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    do {
+      BISTRO_ASSIGN_OR_RETURN(out->emplace_back(), TakeText(c, row));
+    } while (c.TakePunct(","));
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    BISTRO_ASSIGN_OR_RETURN(std::string word, TakeText(c, row));
+    *out = static_cast<T>(WordIndex(row, word));
+  } else if constexpr (std::is_same_v<T, double>) {
+    BISTRO_ASSIGN_OR_RETURN(
+        *out, c.TakeDouble(row.key, o.lo, o.hi, o.flags & kAboveLo));
+  } else {
+    const int64_t lo = static_cast<int64_t>(o.lo);
+    const int64_t hi = o.hi == kNoMax ? std::numeric_limits<T>::max()
+                                      : static_cast<int64_t>(o.hi);
+    BISTRO_ASSIGN_OR_RETURN(*out, row.kind == Kind::kDuration
+                                      ? c.TakeDuration(row.key, lo)
+                                      : c.TakeInt(row.key, lo, hi));
+  }
+  return Status::OK();
+}
+
+template <class T>
+std::string Write(const Row& row, const T& v) {
+  if constexpr (kIsOptional<T>) {
+    return Write(row, *v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    bool quoted = row.kind == Kind::kString || row.kind == Kind::kPattern;
+    return quoted ? Quote(v) : v;
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    return Join(v, ", ");
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    return row.opts.words[static_cast<size_t>(v)];
+  } else if constexpr (std::is_same_v<T, double>) {
+    return DoubleLiteral(v);
+  } else {
+    return row.kind == Kind::kDuration ? DurationLiteral(v)
+                                       : std::to_string(v);
+  }
+}
+
+template <auto M, auto... Rest, class S>
+auto& Walk(S& spec) {
+  if constexpr (sizeof...(Rest) == 0) {
+    return spec.*M;
+  } else {
+    return Walk<Rest...>(spec.*M);
+  }
+}
+
+template <class S>
+S SpecOf(Status (*)(TokenCursor&, const Row&, S*));
+
+// A row's access through a parse/format pair typed on the block's spec.
+template <auto Parse, auto Format>
+Access Irregular() {
+  using Spec = decltype(SpecOf(Parse));
+  return {[](TokenCursor& c, const Row& row, void* spec) {
+            return Parse(c, row, static_cast<Spec*>(spec));
+          },
+          [](const Row& row, const void* spec) {
+            return Format(row, *static_cast<const Spec*>(spec));
+          }};
+}
+
+template <class S, class T>
+S OwnerOf(T S::*);
+
+template <auto First, auto... Rest>
+Status ReadField(TokenCursor& c, const Row& row,
+                 decltype(OwnerOf(First))* spec) {
+  return Read(c, row, &Walk<First, Rest...>(*spec));
+}
+
+template <auto First, auto... Rest>
+Values WriteField(const Row& row, const decltype(OwnerOf(First))& spec) {
+  const decltype(OwnerOf(First)) kDefault{};
+  const auto& v = Walk<First, Rest...>(spec);
+  if (v != Walk<First, Rest...>(kDefault) || row.opts.flags & kWriteAlways) {
+    return {Write(row, v)};
+  }
+  return {};
+}
+
+// A regular row's access to the field at member path First.Rest... of
+// the block's spec.
+template <auto... Path>
+Access At() {
+  return Irregular<ReadField<Path...>, WriteField<Path...>>();
+}
+
+// The first `pattern` is the primary; repeats are alternates (typically
+// analyzer-suggested revisions that were approved).
+Status ParsePattern(TokenCursor& c, const Row& row, FeedSpec* feed) {
+  BISTRO_ASSIGN_OR_RETURN(std::string pattern, TakeText(c, row));
+  if (feed->pattern.empty()) {
+    feed->pattern = std::move(pattern);
+  } else {
+    feed->alt_patterns.push_back(std::move(pattern));
+  }
+  return Status::OK();
+}
+
+Values FormatPattern(const Row&, const FeedSpec& feed) {
+  Values out;
+  if (!feed.pattern.empty()) out.push_back(Quote(feed.pattern));
+  for (const std::string& alt : feed.alt_patterns) out.push_back(Quote(alt));
+  return out;
+}
+
+// `compress <codec>` and `decompress` set the one normalize action.
+template <CompressionAction Action>
+Status ParseAction(TokenCursor& c, const Row& row, FeedSpec* feed) {
+  if (Action == CompressionAction::kCompress) {
+    BISTRO_ASSIGN_OR_RETURN(std::string codec, TakeText(c, row));
+    feed->normalize.codec = static_cast<CodecKind>(WordIndex(row, codec));
+  }
+  feed->normalize.action = Action;
+  return Status::OK();
+}
+
+template <CompressionAction Action>
+Values FormatAction(const Row& row, const FeedSpec& feed) {
+  if (feed.normalize.action != Action) return {};
+  if (Action == CompressionAction::kDecompress) return {""};
+  return {row.opts.words[static_cast<size_t>(feed.normalize.codec)]};
+}
+
+// (file | punctuation | batch [count N] [timeout D]) [exec "cmd"] [remote]
+Status ParseTrigger(TokenCursor& c, const Row&, SubscriberSpec* sub) {
+  BatchSpec& batch = sub->trigger.batch;
+  if (c.TakeWord("file")) {
+    batch.mode = BatchSpec::Mode::kPerFile;
+  } else if (c.TakeWord("punctuation")) {
+    batch.mode = BatchSpec::Mode::kPunctuation;
+  } else if (c.TakeWord("batch")) {
+    bool has_count = false, has_timeout = false;
+    for (;;) {
+      if (c.TakeWord("count")) {
+        BISTRO_ASSIGN_OR_RETURN(batch.count,
+                                c.TakeInt("batch count", 1, INT_MAX));
+        has_count = true;
+      } else if (c.TakeWord("timeout")) {
+        BISTRO_ASSIGN_OR_RETURN(batch.timeout,
+                                c.TakeDuration("batch timeout", 0));
+        has_timeout = true;
       } else {
-        return Status::InvalidArgument(
-            StrFormat("config line %d: unexpected character '%c'", line_, c));
+        break;
       }
     }
-    out.push_back(Token{TokKind::kEof, "", line_});
-    return out;
-  }
-
- private:
-  Result<Token> LexString() {
-    int start_line = line_;
-    ++pos_;  // opening quote
-    std::string text;
-    while (pos_ < src_.size() && src_[pos_] != '"') {
-      char c = src_[pos_];
-      if (c == '\\' && pos_ + 1 < src_.size()) {
-        ++pos_;
-        c = src_[pos_];
-        if (c != '"' && c != '\\') {
-          return Status::InvalidArgument(
-              StrFormat("config line %d: bad escape \\%c", line_, c));
-        }
-      } else if (c == '\n') {
-        return Status::InvalidArgument(
-            StrFormat("config line %d: unterminated string", start_line));
-      }
-      text += c;
-      ++pos_;
+    if (!has_count && !has_timeout) {
+      return c.Err("batch trigger needs count and/or timeout");
     }
-    if (pos_ >= src_.size()) {
-      return Status::InvalidArgument(
-          StrFormat("config line %d: unterminated string", start_line));
+    batch.mode = !has_count     ? BatchSpec::Mode::kTime
+                 : !has_timeout ? BatchSpec::Mode::kCount
+                                : BatchSpec::Mode::kCountOrTime;
+  } else {
+    return c.Err("unknown trigger kind");
+  }
+  for (;;) {
+    if (c.TakeWord("exec")) {
+      BISTRO_ASSIGN_OR_RETURN(sub->trigger.command, c.TakeString());
+    } else if (c.TakeWord("remote")) {
+      sub->trigger.remote = true;
+    } else {
+      return Status::OK();
     }
-    ++pos_;  // closing quote
-    return Token{TokKind::kString, std::move(text), start_line};
   }
+}
 
-  Token LexIdent() {
-    size_t start = pos_;
-    while (pos_ < src_.size() &&
-           (IsAlnum(src_[pos_]) || src_[pos_] == '_' || src_[pos_] == '.')) {
-      ++pos_;
+Values FormatTrigger(const Row&, const SubscriberSpec& sub) {
+  const TriggerSpec& t = sub.trigger;
+  using Mode = BatchSpec::Mode;
+  if (t.command.empty() && t.batch.mode == Mode::kPerFile) return {};
+  std::string s = t.batch.mode == Mode::kPerFile       ? "file"
+                  : t.batch.mode == Mode::kPunctuation ? "punctuation"
+                                                       : "batch";
+  if (t.batch.mode == Mode::kCount || t.batch.mode == Mode::kCountOrTime) {
+    s += " count " + std::to_string(t.batch.count);
+  }
+  if (t.batch.mode == Mode::kTime || t.batch.mode == Mode::kCountOrTime) {
+    s += " timeout " + DurationLiteral(t.batch.timeout);
+  }
+  if (!t.command.empty()) s += " exec " + Quote(t.command);
+  if (t.remote) s += " remote";
+  return {s};
+}
+
+// `split P to ARM, ...`: percents in [1, 100] summing to 100, arms distinct.
+Status ParseSplit(TokenCursor& c, const Row&, PlanSpec* plan) {
+  do {
+    PlanSplitArm& arm = plan->split.emplace_back();
+    BISTRO_ASSIGN_OR_RETURN(arm.percent, c.TakeInt("split percent", 1, 100));
+    BISTRO_RETURN_IF_ERROR(c.ExpectWord("to"));
+    BISTRO_ASSIGN_OR_RETURN(arm.to, c.TakeIdent());
+  } while (c.TakePunct(","));
+  int total = 0;
+  std::set<std::string> arms;
+  for (const PlanSplitArm& arm : plan->split) {
+    total += arm.percent;
+    if (!arms.insert(arm.to).second) {
+      return c.Err("split lists arm '" + arm.to + "' twice");
     }
-    return Token{TokKind::kIdent, std::string(src_.substr(start, pos_ - start)),
-                 line_};
   }
+  if (total != 100) return c.Err("split percents must sum to 100");
+  return Status::OK();
+}
 
-  Token LexNumberUnit() {
-    size_t start = pos_;
-    if (src_[pos_] == '-') ++pos_;
-    while (pos_ < src_.size() && (IsDigit(src_[pos_]) || src_[pos_] == '.')) ++pos_;
-    while (pos_ < src_.size() && IsAlpha(src_[pos_])) ++pos_;  // unit suffix
-    return Token{TokKind::kNumberUnit,
-                 std::string(src_.substr(start, pos_ - start)), line_};
+Values FormatSplit(const Row&, const PlanSpec& plan) {
+  std::vector<std::string> arms;
+  for (const PlanSplitArm& arm : plan.split) {
+    arms.push_back(std::to_string(arm.percent) + " to " + arm.to);
   }
+  if (arms.empty()) return {};
+  return {Join(arms, ", ")};
+}
 
-  std::string_view src_;
-  size_t pos_ = 0;
-  int line_ = 1;
-};
+// `quota N [per D]` / `quota_bytes N [per D]`: both budgets refill over
+// one shared interval.
+template <std::optional<int64_t> PlanSpec::*Budget>
+Status ParseQuota(TokenCursor& c, const Row& row, PlanSpec* plan) {
+  BISTRO_ASSIGN_OR_RETURN(plan->*Budget, c.TakeInt(row.key, 1, INT64_MAX));
+  if (c.TakeWord("per")) {
+    BISTRO_ASSIGN_OR_RETURN(plan->quota_interval,
+                            c.TakeDuration("quota interval", 1));
+  }
+  return Status::OK();
+}
 
-// ----------------------------------------------------------------- Parser
+template <std::optional<int64_t> PlanSpec::*Budget>
+Values FormatQuota(const Row&, const PlanSpec& plan) {
+  if (!(plan.*Budget)) return {};
+  return {std::to_string(*(plan.*Budget)) + " per " +
+          DurationLiteral(plan.quota_interval)};
+}
+
+// `shard I of N`: this peer takes partition I of N.
+Status ParseShard(TokenCursor& c, const Row&, PeerSpec* peer) {
+  BISTRO_ASSIGN_OR_RETURN(int64_t index, c.TakeInt());
+  BISTRO_RETURN_IF_ERROR(c.ExpectWord("of"));
+  BISTRO_ASSIGN_OR_RETURN(peer->shard_count,
+                          c.TakeInt("shard count", 1, INT_MAX));
+  if (index < 0 || index >= peer->shard_count) {
+    return c.Err("shard index must be in [0, count)");
+  }
+  peer->shard_index = static_cast<int>(index);
+  return Status::OK();
+}
+
+Values FormatShard(const Row&, const PeerSpec& peer) {
+  if (peer.shard_count <= 0) return {};
+  return {StrFormat("%d of %d", peer.shard_index, peer.shard_count)};
+}
+
+// Rows of one block are in FormatConfig order.
+const std::vector<Row>& Table() {
+  using enum Block;
+  using enum Kind;
+  using FS = FeedSpec;
+  using SS = SubscriberSpec;
+  using GS = GroupSpec;
+  using DT = DeliveryTuningSpec;
+  using IT = IngestTuningSpec;
+  using AT = AnalyzerTuningSpec;
+  using PS = PlanSpec;
+  using NS = ServerNetSpec;
+  using PE = PeerSpec;
+  using RS = RelaySpec;
+  constexpr double kPositive = 1;  // durations: at least 1us
+  constexpr auto kCompress = CompressionAction::kCompress;
+  constexpr auto kDecompress = CompressionAction::kDecompress;
+  static const std::vector<Row> kTable = {
+      {kFeed, "pattern", kPattern, Irregular<ParsePattern, FormatPattern>(),
+       {.flags = kRequired}},
+      {kFeed, "normalize", kPattern,
+       At<&FS::normalize, &NormalizeSpec::rename_template>()},
+      {kFeed, "compress", kEnum,
+       Irregular<ParseAction<kCompress>, FormatAction<kCompress>>(),
+       {.words = {"none", "rle", "lz"}}},
+      {kFeed, "decompress", kIrregular,
+       Irregular<ParseAction<kDecompress>, FormatAction<kDecompress>>()},
+      {kFeed, "tardiness", kDuration, At<&FS::tardiness>()},
+      {kSubscriber, "host", kString, At<&SS::host>()},
+      {kSubscriber, "destination", kString, At<&SS::destination>()},
+      {kSubscriber, "feeds", kIdentList, At<&SS::feeds>(),
+       {.flags = kRequired}},
+      {kSubscriber, "method", kEnum, At<&SS::method>(),
+       {.words = {"push", "notify"}, .flags = kWriteAlways}},
+      {kSubscriber, "window", kDuration, At<&SS::window>()},
+      {kSubscriber, "trigger", kIrregular,
+       Irregular<ParseTrigger, FormatTrigger>(),
+       {.words = {"file", "punctuation", "batch", "count", "timeout", "exec",
+                  "remote"}}},
+      {kGroup, "feeds", kIdentList, At<&GS::feeds>(), {.flags = kRequired}},
+      {kGroup, "members", kIdentList, At<&GS::members>(), {.flags = kRequired}},
+      {kGroup, "window", kDuration, At<&GS::window>()},
+      {kGroup, "straggler_after", kInt, At<&GS::straggler_after>(), {1}},
+      {kDelivery, "retry_backoff_min", kDuration, At<&DT::retry_backoff_min>()},
+      // Predates the exponential schedule; sets the same floor.
+      {kDelivery, "retry_backoff", kDuration, At<&DT::retry_backoff_min>(),
+       {.flags = kAlias}},
+      {kDelivery, "retry_backoff_max", kDuration, At<&DT::retry_backoff_max>()},
+      {kDelivery, "retry_multiplier", kDouble, At<&DT::retry_multiplier>(),
+       {1}},
+      {kDelivery, "retry_jitter", kEnum, At<&DT::retry_jitter>(),
+       {.words = {"off", "on"}}},
+      {kDelivery, "max_attempts", kInt, At<&DT::max_attempts>(), {1}},
+      {kDelivery, "offline_after", kInt, At<&DT::offline_after>(), {1}},
+      {kDelivery, "probe_interval", kDuration, At<&DT::probe_interval>()},
+      {kDelivery, "window", kInt, At<&DT::window>()},
+      {kDelivery, "coalesce_bytes", kInt, At<&DT::coalesce_bytes>()},
+      {kDelivery, "cache_bytes", kInt, At<&DT::cache_bytes>()},
+      {kDelivery, "receipt_group", kInt, At<&DT::receipt_group>(), {1}},
+      {kDelivery, "receipt_flush_interval", kDuration,
+       At<&DT::receipt_flush_interval>()},
+      {kIngest, "workers", kInt, At<&IT::workers>()},
+      {kIngest, "queue_depth", kInt, At<&IT::queue_depth>(), {1}},
+      {kIngest, "batch", kInt, At<&IT::batch>(), {1}},
+      {kIngest, "overload_policy", kEnum, At<&IT::overload_policy>(),
+       {.words = {"block", "shed_oldest", "spill"}}},
+      {kAnalyzer, "workers", kInt, At<&AT::workers>()},
+      {kAnalyzer, "max_corpus", kInt, At<&AT::max_corpus>(), {1}},
+      {kAnalyzer, "shards", kInt, At<&AT::shards>(), {1}},
+      {kAnalyzer, "cycle_interval", kDuration, At<&AT::cycle_interval>(),
+       {kPositive}},
+      {kReceipts, "shards", kInt, At<&ReceiptTuningSpec::shards>(), {1, 256}},
+      {kClassifier, "mode", kEnum, At<&ClassifierTuningSpec::mode>(),
+       {.words = {"automaton", "trie", "linear"}}},
+      {kPlan, "route", kIdentList, At<&PS::route>()},
+      {kPlan, "split", kIrregular, Irregular<ParseSplit, FormatSplit>(),
+       {.words = {"to"}}},
+      {kPlan, "replicate", kInt, At<&PS::replicate>(), {1}},
+      {kPlan, "sample", kDouble, At<&PS::sample>(),
+       {.lo = 0, .hi = 100, .flags = kAboveLo}},
+      {kPlan, "transform", kEnum, At<&PS::transform>(),
+       {.words = {"none", "rle", "lz", "decompress"}}},
+      {kPlan, "quota", kIrregular,
+       Irregular<ParseQuota<&PS::quota_files>, FormatQuota<&PS::quota_files>>(),
+       {.words = {"per"}}},
+      {kPlan, "quota_bytes", kIrregular,
+       Irregular<ParseQuota<&PS::quota_bytes>, FormatQuota<&PS::quota_bytes>>(),
+       {.words = {"per"}}},
+      {kPlan, "slo", kEnum, At<&PS::slo>(),
+       {.words = {"interactive", "standard", "bulk"}}},
+      {kPlan, "enrich", kIdentList, At<&PS::enrich>(),
+       {.words = {"provenance", "checksum"}}},
+      {kServer, "listen", kString, At<&NS::listen>()},
+      {kServer, "max_frame_bytes", kInt, At<&NS::max_frame_bytes>(), {1}},
+      {kServer, "outbound_queue_bytes", kInt, At<&NS::outbound_queue_bytes>(),
+       {1}},
+      {kServer, "reconnect_backoff_min", kDuration,
+       At<&NS::reconnect_backoff_min>(), {kPositive}},
+      {kServer, "reconnect_backoff_max", kDuration,
+       At<&NS::reconnect_backoff_max>(), {kPositive}},
+      {kServer, "ack_timeout", kDuration, At<&NS::ack_timeout>(), {kPositive}},
+      {kPeer, "address", kString, At<&PE::address>(), {.flags = kRequired}},
+      {kPeer, "feeds", kIdentList, At<&PE::feeds>()},
+      {kPeer, "shard", kIrregular, Irregular<ParseShard, FormatShard>(),
+       {.words = {"of"}}},
+      {kPeer, "replicas", kInt, At<&PE::replicas>(), {1}},
+      {kPeer, "failover", kIdent, At<&PE::failover>()},
+      {kPeer, "probe_interval", kDuration, At<&PE::probe_interval>(),
+       {kPositive}},
+      {kPeer, "suspect_after", kInt, At<&PE::suspect_after>(), {1}},
+      {kPeer, "down_after", kInt, At<&PE::down_after>(), {1}},
+      {kPeer, "window", kDuration, At<&PE::window>()},
+      {kRelay, "children", kIdentList, At<&RS::children>(),
+       {.flags = kRequired}},
+      {kRelay, "spool", kString, At<&RS::spool>()},
+      {kRelay, "retry_backoff", kDuration, At<&RS::retry_backoff>(),
+       {kPositive}},
+      {kRelay, "max_attempts", kInt, At<&RS::max_attempts>(), {1}},
+  };
+  return kTable;
+}
+
+const Row* FindRow(Block b, std::string_view key) {
+  for (const Row& row : Table()) {
+    if (row.block == b && key == row.key) return &row;
+  }
+  return nullptr;
+}
+
+template <class S>
+auto& NameOf(S& spec) { return spec.name; }
+std::string& NameOf(PlanSpec& plan) { return plan.feed; }
+const std::string& NameOf(const PlanSpec& plan) { return plan.feed; }
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(TokenCursor cursor) : c_(std::move(cursor)) {}
 
   Result<ServerConfig> Run() {
     ServerConfig config;
-    while (!AtEof()) {
-      const Token& t = Peek();
-      if (t.kind == TokKind::kIdent && t.text == "group") {
-        BISTRO_RETURN_IF_ERROR(ParseGroup("", &config));
-      } else if (t.kind == TokKind::kIdent && t.text == "feed") {
-        BISTRO_RETURN_IF_ERROR(ParseFeed("", &config));
-      } else if (t.kind == TokKind::kIdent && t.text == "subscriber") {
-        BISTRO_RETURN_IF_ERROR(ParseSubscriber(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "delivery") {
-        BISTRO_RETURN_IF_ERROR(ParseDelivery(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "ingest") {
-        BISTRO_RETURN_IF_ERROR(ParseIngest(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "analyzer") {
-        BISTRO_RETURN_IF_ERROR(ParseAnalyzer(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "server") {
-        BISTRO_RETURN_IF_ERROR(ParseServer(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "peer") {
-        BISTRO_RETURN_IF_ERROR(ParsePeer(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "relay") {
-        BISTRO_RETURN_IF_ERROR(ParseRelay(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "receipts") {
-        BISTRO_RETURN_IF_ERROR(ParseReceipts(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "classifier") {
-        BISTRO_RETURN_IF_ERROR(ParseClassifier(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "plan") {
-        BISTRO_RETURN_IF_ERROR(ParsePlan(&config));
-      } else {
-        return Err(
-            "expected 'group', 'feed', 'subscriber', 'delivery', 'ingest', "
-            "'analyzer', 'receipts', 'classifier', 'server', 'peer', "
-            "'relay' or 'plan'");
-      }
-    }
-    // Cross-peer checks need the full peer list.
+    while (!c_.AtEof()) BISTRO_RETURN_IF_ERROR(ParseBlock(&config));
+    // A failover target may be declared after the peer naming it.
     for (const PeerSpec& peer : config.peers) {
-      if (peer.failover.empty()) continue;
-      bool found = false;
-      for (const PeerSpec& other : config.peers) {
-        if (other.name == peer.failover) found = true;
-      }
-      if (!found) {
-        return Status::InvalidArgument("peer " + peer.name +
-                                       " names unknown failover peer '" +
-                                       peer.failover + "'");
-      }
-    }
-    // Group/subscriber/relay identities share one delivery namespace.
-    for (const GroupSpec& group : config.groups) {
-      for (const SubscriberSpec& sub : config.subscribers) {
-        if (sub.name == group.name) {
-          return Status::InvalidArgument(
-              "group " + group.name + " is also a subscriber name");
-        }
-      }
-      for (const GroupSpec& other : config.groups) {
-        if (&other != &group && other.name == group.name) {
-          return Status::InvalidArgument("duplicate group: " + group.name);
-        }
-      }
-    }
-    for (const RelaySpec& relay : config.relays) {
-      for (const RelaySpec& other : config.relays) {
-        if (&other != &relay && other.name == relay.name) {
-          return Status::InvalidArgument("duplicate relay: " + relay.name);
-        }
-      }
-    }
-    // One plan per selector; deeper cross-checks (unknown feeds, route
-    // targets, replication vs the peer fleet) run in the plan compiler,
-    // which sees the resolved registry.
-    for (const PlanSpec& plan : config.plans) {
-      for (const PlanSpec& other : config.plans) {
-        if (&other != &plan && other.feed == plan.feed) {
-          return Status::InvalidArgument("duplicate plan for " + plan.feed);
-        }
+      auto target = identities_.find(peer.failover);
+      if (!peer.failover.empty() && (target == identities_.end() ||
+                                     target->second.first != Block::kPeer)) {
+        return c_.ErrAt(identities_[peer.name].second,
+                        "peer " + peer.name + " names unknown failover peer '" +
+                            peer.failover + "'");
       }
     }
     return config;
   }
 
  private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Next() { return tokens_[pos_++]; }
-  bool AtEof() const { return Peek().kind == TokKind::kEof; }
+  // Declared names with their block and line.
+  using Names = std::map<std::string, std::pair<Block, int>>;
 
-  Status Err(const std::string& what) const {
-    return Status::InvalidArgument(
-        StrFormat("config line %d: %s (got '%s')", Peek().line, what.c_str(),
-                  Peek().text.c_str()));
-  }
-
-  Status Expect(TokKind kind, std::string_view text, const char* what) {
-    const Token& t = Peek();
-    if (t.kind != kind || (!text.empty() && t.text != text)) {
-      return Err(std::string("expected ") + what);
+  Status ParseBlock(ServerConfig* config) {
+    const int line = c_.Peek().line;
+    if (c_.TakeWord(BlockName(Block::kGroup))) {
+      return ParseGroup("", line, config);
     }
-    ++pos_;
-    return Status::OK();
+    bool found = false;
+    Status status;
+    ForEachBlock(*config, [&](Block b, auto& field) {
+      if (found || !c_.TakeWord(BlockName(b))) return;
+      found = true;
+      if constexpr (std::ranges::range<decltype(field)>) {
+        status = Named(b, line, "", &field);
+      } else {
+        status = c_.ExpectPunct("{");
+        if (status.ok()) status = Body(b, line, "", &field);
+      }
+    });
+    if (found) return status;
+    return c_.Err("expected one of " +
+                  Join({std::begin(kBlockNames), std::end(kBlockNames)}, ", "));
   }
 
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != TokKind::kIdent) return Err("expected identifier");
-    return Next().text;
-  }
-
-  Result<std::string> ExpectString() {
-    if (Peek().kind != TokKind::kString) return Err("expected quoted string");
-    return Next().text;
-  }
-
-  Result<Duration> ExpectDuration() {
-    if (Peek().kind != TokKind::kNumberUnit) return Err("expected duration");
-    auto d = ParseDuration(Peek().text);
-    if (!d) return Err("bad duration");
-    ++pos_;
-    return *d;
-  }
-
-  Result<int64_t> ExpectInt() {
-    if (Peek().kind != TokKind::kNumberUnit) return Err("expected integer");
-    auto v = ParseInt(Peek().text);
-    if (!v) return Err("bad integer");
-    ++pos_;
-    return *v;
-  }
-
-  Result<double> ExpectDouble() {
-    if (Peek().kind != TokKind::kNumberUnit) return Err("expected number");
-    auto v = ParseDouble(Peek().text);
-    if (!v) return Err("bad number");
-    ++pos_;
-    return *v;
-  }
-
-  Result<bool> ExpectOnOff() {
-    if (Peek().kind != TokKind::kIdent) return Err("expected 'on' or 'off'");
-    const std::string& v = Peek().text;
-    if (v != "on" && v != "off") return Err("expected 'on' or 'off'");
-    ++pos_;
-    return v == "on";
-  }
-
-  static bool IsGroupAttr(const std::string& word) {
-    return word == "feeds" || word == "members" || word == "window" ||
-           word == "straggler_after";
-  }
-
-  Status ParseGroup(const std::string& prefix, ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "group", "'group'"));
-    BISTRO_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-    std::string full = prefix.empty() ? name : prefix + "." + name;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    // The keyword is overloaded: a block of nested `feed`/`group`
-    // definitions is a feed-hierarchy prefix; a block of subscriber-ish
-    // attributes (`feeds`, `members`, ...) is a *subscriber group* — one
-    // shared delivery identity fanned out to many member endpoints.
-    if (Peek().kind == TokKind::kIdent && IsGroupAttr(Peek().text)) {
+  Status ParseGroup(const std::string& prefix, int line, ServerConfig* config) {
+    BISTRO_ASSIGN_OR_RETURN(std::string name, c_.TakeIdent());
+    BISTRO_RETURN_IF_ERROR(c_.ExpectPunct("{"));
+    // The keyword is overloaded: a block of nested feed/group definitions
+    // is a feed-hierarchy prefix; a block opening with a subscriber-group
+    // key is a *subscriber group* — one shared delivery identity fanned
+    // out to many member endpoints.
+    if (c_.Peek().kind == TokKind::kIdent &&
+        FindRow(Block::kGroup, c_.Peek().text)) {
       if (!prefix.empty()) {
-        return Err("subscriber group '" + name +
-                   "' cannot be nested inside feed group '" + prefix + "'");
+        return c_.Err("subscriber group '" + name +
+                      "' cannot be nested inside feed group '" + prefix + "'");
       }
-      return ParseSubscriberGroup(std::move(name), config);
+      return Append(Block::kGroup, line, std::move(name), &config->groups);
     }
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated group");
-      const Token& t = Peek();
-      if (t.kind == TokKind::kIdent && t.text == "group") {
-        BISTRO_RETURN_IF_ERROR(ParseGroup(full, config));
-      } else if (t.kind == TokKind::kIdent && t.text == "feed") {
-        BISTRO_RETURN_IF_ERROR(ParseFeed(full, config));
-      } else {
-        return Err("expected 'group' or 'feed' inside group");
-      }
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  /// Body of a subscriber group; the opening `group <name> {` and the
-  /// first attribute peek already happened in ParseGroup.
-  Status ParseSubscriberGroup(std::string name, ServerConfig* config) {
-    GroupSpec group;
-    group.name = std::move(name);
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated group");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "feeds") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        group.feeds.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          group.feeds.push_back(std::move(next));
-        }
-      } else if (attr == "members") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        group.members.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          group.members.push_back(std::move(next));
-        }
-      } else if (attr == "window") {
-        BISTRO_ASSIGN_OR_RETURN(group.window, ExpectDuration());
-      } else if (attr == "straggler_after") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("straggler_after must be at least 1");
-        group.straggler_after = static_cast<int>(n);
-      } else {
-        return Err("unknown group attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (group.feeds.empty()) {
-      return Status::InvalidArgument("group " + group.name +
-                                     " subscribes to no feeds");
-    }
-    if (group.members.empty()) {
-      return Status::InvalidArgument("group " + group.name + " has no members");
-    }
-    std::set<std::string> seen;
-    for (const std::string& member : group.members) {
-      if (!seen.insert(member).second) {
-        return Status::InvalidArgument("group " + group.name +
-                                       " lists member '" + member + "' twice");
-      }
-    }
-    config->groups.push_back(std::move(group));
-    return Status::OK();
-  }
-
-  Status ParseRelay(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "relay", "'relay'"));
-    RelaySpec relay;
-    BISTRO_ASSIGN_OR_RETURN(relay.name, ExpectIdent());
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated relay");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "children") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        relay.children.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          relay.children.push_back(std::move(next));
-        }
-      } else if (attr == "spool") {
-        BISTRO_ASSIGN_OR_RETURN(relay.spool, ExpectString());
-      } else if (attr == "retry_backoff") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("retry_backoff must be positive");
-        relay.retry_backoff = v;
-      } else if (attr == "max_attempts") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("max_attempts must be at least 1");
-        relay.max_attempts = static_cast<int>(n);
-      } else {
-        return Err("unknown relay attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (relay.children.empty()) {
-      return Status::InvalidArgument("relay " + relay.name +
-                                     " has no children");
-    }
-    config->relays.push_back(std::move(relay));
-    return Status::OK();
-  }
-
-  Status ParseReceipts(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "receipts", "'receipts'"));
-    ReceiptTuningSpec* r = &config->receipts;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated receipts block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "shards") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0 || v > 256) return Err("shards must be in [1, 256]");
-        r->shards = static_cast<int>(v);
-      } else {
-        return Err("unknown receipts attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParseClassifier(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(
-        Expect(TokKind::kIdent, "classifier", "'classifier'"));
-    ClassifierTuningSpec* c = &config->classifier;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated classifier block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "mode") {
-        BISTRO_ASSIGN_OR_RETURN(std::string v, ExpectIdent());
-        if (v != "automaton" && v != "trie" && v != "linear") {
-          return Err("classifier mode must be automaton, trie or linear");
-        }
-        c->mode = v;
-      } else {
-        return Err("unknown classifier attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParsePlan(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "plan", "'plan'"));
-    PlanSpec plan;
-    BISTRO_ASSIGN_OR_RETURN(plan.feed, ExpectIdent());
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    bool has_attr = false;
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated plan");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      has_attr = true;
-      if (attr == "route") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        plan.route.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          plan.route.push_back(std::move(next));
-        }
-      } else if (attr == "split") {
-        for (;;) {
-          PlanSplitArm arm;
-          BISTRO_ASSIGN_OR_RETURN(int64_t pct, ExpectInt());
-          if (pct < 1 || pct > 100) {
-            return Err("split percent must be in [1, 100]");
-          }
-          arm.percent = static_cast<int>(pct);
-          BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "to", "'to'"));
-          BISTRO_ASSIGN_OR_RETURN(arm.to, ExpectIdent());
-          plan.split.push_back(std::move(arm));
-          if (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-            ++pos_;
-            continue;
-          }
-          break;
-        }
-        int total = 0;
-        for (const PlanSplitArm& arm : plan.split) total += arm.percent;
-        if (total != 100) return Err("split percents must sum to 100");
-        std::set<std::string> arms;
-        for (const PlanSplitArm& arm : plan.split) {
-          if (!arms.insert(arm.to).second) {
-            return Err("split lists arm '" + arm.to + "' twice");
-          }
-        }
-      } else if (attr == "replicate") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("replicate must be at least 1");
-        plan.replicate = static_cast<int>(n);
-      } else if (attr == "sample") {
-        BISTRO_ASSIGN_OR_RETURN(double v, ExpectDouble());
-        if (v <= 0 || v > 100) return Err("sample must be in (0, 100]");
-        plan.sample = v;
-      } else if (attr == "transform") {
-        BISTRO_ASSIGN_OR_RETURN(std::string v, ExpectIdent());
-        if (v != "none" && v != "rle" && v != "lz" && v != "decompress") {
-          return Err("transform must be none, rle, lz or decompress");
-        }
-        plan.transform = std::move(v);
-      } else if (attr == "quota" || attr == "quota_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err(attr + " must be at least 1");
-        if (attr == "quota") {
-          plan.quota_files = n;
-        } else {
-          plan.quota_bytes = n;
-        }
-        if (Peek().kind == TokKind::kIdent && Peek().text == "per") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-          if (v <= 0) return Err("quota interval must be positive");
-          plan.quota_interval = v;
-        }
-      } else if (attr == "slo") {
-        BISTRO_ASSIGN_OR_RETURN(std::string v, ExpectIdent());
-        if (v != "interactive" && v != "standard" && v != "bulk") {
-          return Err("slo must be interactive, standard or bulk");
-        }
-        plan.slo = std::move(v);
-      } else if (attr == "enrich") {
-        for (;;) {
-          BISTRO_ASSIGN_OR_RETURN(std::string op, ExpectIdent());
-          if (op != "provenance" && op != "checksum") {
-            return Err("enrich op must be provenance or checksum");
-          }
-          plan.enrich.push_back(std::move(op));
-          if (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-            ++pos_;
-            continue;
-          }
-          break;
-        }
-      } else {
-        return Err("unknown plan attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (!has_attr) {
-      return Status::InvalidArgument("plan " + plan.feed +
-                                     " declares nothing");
-    }
-    config->plans.push_back(std::move(plan));
-    return Status::OK();
-  }
-
-  Status ParseFeed(const std::string& prefix, ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "feed", "'feed'"));
-    BISTRO_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-    FeedSpec feed;
-    feed.name = prefix.empty() ? name : prefix + "." + name;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated feed");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "pattern") {
-        BISTRO_ASSIGN_OR_RETURN(std::string pattern, ExpectString());
-        // Validate early: load-time errors beat classification-time errors.
-        BISTRO_RETURN_IF_ERROR(Pattern::Compile(pattern).status());
-        // First clause is the primary pattern; repeats are alternates
-        // (typically analyzer-suggested revisions that were approved).
-        if (feed.pattern.empty()) {
-          feed.pattern = std::move(pattern);
-        } else {
-          feed.alt_patterns.push_back(std::move(pattern));
-        }
-      } else if (attr == "normalize") {
-        BISTRO_ASSIGN_OR_RETURN(feed.normalize.rename_template, ExpectString());
+    const std::string full = prefix.empty() ? name : prefix + "." + name;
+    while (!c_.TakePunct("}")) {
+      const int inner = c_.Peek().line;
+      if (c_.TakeWord(BlockName(Block::kGroup))) {
+        BISTRO_RETURN_IF_ERROR(ParseGroup(full, inner, config));
+      } else if (c_.TakeWord(BlockName(Block::kFeed))) {
         BISTRO_RETURN_IF_ERROR(
-            Pattern::Compile(feed.normalize.rename_template).status());
-      } else if (attr == "compress") {
-        BISTRO_ASSIGN_OR_RETURN(std::string codec, ExpectIdent());
-        BISTRO_ASSIGN_OR_RETURN(feed.normalize.codec, CodecKindFromName(codec));
-        feed.normalize.action = CompressionAction::kCompress;
-      } else if (attr == "decompress") {
-        feed.normalize.action = CompressionAction::kDecompress;
-      } else if (attr == "tardiness") {
-        BISTRO_ASSIGN_OR_RETURN(feed.tardiness, ExpectDuration());
+            Named(Block::kFeed, inner, full + ".", &config->feeds));
       } else {
-        return Err("unknown feed attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (feed.pattern.empty()) {
-      return Status::InvalidArgument("feed " + feed.name + " has no pattern");
-    }
-    config->feeds.push_back(std::move(feed));
-    return Status::OK();
-  }
-
-  Status ParseTrigger(TriggerSpec* trigger) {
-    BISTRO_ASSIGN_OR_RETURN(std::string kind, ExpectIdent());
-    if (kind == "file") {
-      trigger->batch.mode = BatchSpec::Mode::kPerFile;
-    } else if (kind == "punctuation") {
-      trigger->batch.mode = BatchSpec::Mode::kPunctuation;
-    } else if (kind == "batch") {
-      bool has_count = false, has_timeout = false;
-      while (Peek().kind == TokKind::kIdent &&
-             (Peek().text == "count" || Peek().text == "timeout")) {
-        std::string opt = Next().text;
-        if (opt == "count") {
-          BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-          if (n <= 0) return Err("batch count must be positive");
-          trigger->batch.count = static_cast<int>(n);
-          has_count = true;
-        } else {
-          BISTRO_ASSIGN_OR_RETURN(trigger->batch.timeout, ExpectDuration());
-          has_timeout = true;
-        }
-      }
-      if (has_count && has_timeout) {
-        trigger->batch.mode = BatchSpec::Mode::kCountOrTime;
-      } else if (has_count) {
-        trigger->batch.mode = BatchSpec::Mode::kCount;
-      } else if (has_timeout) {
-        trigger->batch.mode = BatchSpec::Mode::kTime;
-      } else {
-        return Err("batch trigger needs count and/or timeout");
-      }
-    } else {
-      return Err("unknown trigger kind '" + kind + "'");
-    }
-    while (Peek().kind == TokKind::kIdent &&
-           (Peek().text == "exec" || Peek().text == "remote")) {
-      std::string opt = Next().text;
-      if (opt == "exec") {
-        BISTRO_ASSIGN_OR_RETURN(trigger->command, ExpectString());
-      } else {
-        trigger->remote = true;
+        return c_.Err(c_.AtEof() ? "unterminated group"
+                                 : "expected 'group' or 'feed' inside group");
       }
     }
     return Status::OK();
   }
 
-  Status ParseDelivery(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "delivery", "'delivery'"));
-    DeliveryTuningSpec* d = &config->delivery;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated delivery block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "retry_backoff" || attr == "retry_backoff_min") {
-        // "retry_backoff" predates the exponential schedule; it sets the
-        // same floor the new name does.
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        d->retry_backoff_min = v;
-      } else if (attr == "retry_backoff_max") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        d->retry_backoff_max = v;
-      } else if (attr == "retry_multiplier") {
-        BISTRO_ASSIGN_OR_RETURN(double v, ExpectDouble());
-        if (v < 1.0) return Err("retry_multiplier must be >= 1");
-        d->retry_multiplier = v;
-      } else if (attr == "retry_jitter") {
-        BISTRO_ASSIGN_OR_RETURN(bool v, ExpectOnOff());
-        d->retry_jitter = v;
-      } else if (attr == "max_attempts") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("max_attempts must be positive");
-        d->max_attempts = static_cast<int>(v);
-      } else if (attr == "offline_after") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("offline_after must be positive");
-        d->offline_after = static_cast<int>(v);
-      } else if (attr == "probe_interval") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        d->probe_interval = v;
-      } else if (attr == "window") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("window must be >= 0");
-        d->window = static_cast<int>(v);
-      } else if (attr == "coalesce_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("coalesce_bytes must be >= 0");
-        d->coalesce_bytes = v;
-      } else if (attr == "cache_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("cache_bytes must be >= 0");
-        d->cache_bytes = v;
-      } else if (attr == "receipt_group") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("receipt_group must be positive");
-        d->receipt_group = static_cast<int>(v);
-      } else if (attr == "receipt_flush_interval") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        d->receipt_flush_interval = v;
-      } else {
-        return Err("unknown delivery attribute '" + attr + "'");
+  // `NAME { body }`; the spec is named `prefix` + NAME.
+  template <class Spec>
+  Status Named(Block b, int line, const std::string& prefix,
+               std::vector<Spec>* out) {
+    BISTRO_ASSIGN_OR_RETURN(std::string name, c_.TakeIdent());
+    BISTRO_RETURN_IF_ERROR(c_.ExpectPunct("{"));
+    return Append(b, line, prefix + name, out);
+  }
+
+  // Parses the body of a named block (its '{' consumed) into a new spec
+  // of `out`, checks it, and claims its name.
+  template <class Spec>
+  Status Append(Block b, int line, std::string name, std::vector<Spec>* out) {
+    Spec& spec = out->emplace_back();
+    NameOf(spec) = std::move(name);
+    BISTRO_RETURN_IF_ERROR(Body(b, line, NameOf(spec), &spec));
+    BISTRO_RETURN_IF_ERROR(Check(spec, line));
+    // Subscribers, subscriber groups and peers share one delivery
+    // namespace; relays and plans have their own; the registry owns feeds.
+    Names* names = b == Block::kFeed    ? nullptr
+                   : b == Block::kRelay ? &relays_
+                   : b == Block::kPlan  ? &plans_
+                                        : &identities_;
+    if (names == nullptr) return Status::OK();
+    auto [it, fresh] = names->emplace(NameOf(spec), std::pair(b, line));
+    if (fresh) return Status::OK();
+    return c_.ErrAt(line, StrFormat("duplicate name: %s %s (already the %s "
+                                    "at line %d)",
+                                    BlockName(b).c_str(), it->first.c_str(),
+                                    BlockName(it->second.first).c_str(),
+                                    it->second.second));
+  }
+
+  // The generic block loop: `key value;` rows up to the closing '}'.
+  Status Body(Block b, int line, const std::string& name, void* spec) {
+    while (!c_.TakePunct("}")) {
+      if (c_.AtEof()) return c_.Err("unterminated " + BlockName(b));
+      BISTRO_ASSIGN_OR_RETURN(std::string key, c_.TakeIdent());
+      const Row* row = FindRow(b, key);
+      if (!row) {
+        return c_.Err("unknown " + BlockName(b) + " attribute '" + key + "'");
       }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
+      BISTRO_RETURN_IF_ERROR(row->access.parse(c_, *row, spec));
+      BISTRO_RETURN_IF_ERROR(c_.ExpectPunct(";"));
     }
-    ++pos_;  // consume '}'
+    for (const Row& row : Table()) {
+      if (row.block == b && row.opts.flags & kRequired &&
+          row.access.format(row, spec).empty()) {
+        return c_.ErrAt(line, BlockName(b) + " " + name + " has no " + row.key);
+      }
+    }
     return Status::OK();
   }
 
-  Status ParseIngest(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "ingest", "'ingest'"));
-    IngestTuningSpec* g = &config->ingest;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated ingest block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "workers") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("workers must be >= 0");
-        g->workers = static_cast<int>(v);
-      } else if (attr == "queue_depth") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("queue_depth must be positive");
-        g->queue_depth = static_cast<int>(v);
-      } else if (attr == "batch") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("batch must be positive");
-        g->batch = static_cast<int>(v);
-      } else if (attr == "overload_policy") {
-        BISTRO_ASSIGN_OR_RETURN(std::string v, ExpectIdent());
-        if (v != "block" && v != "shed_oldest" && v != "spill") {
-          return Err("overload_policy must be block, shed_oldest or spill");
-        }
-        g->overload_policy = std::move(v);
-      } else {
-        return Err("unknown ingest attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
+  // Per-block rules beyond single keys.
+  template <class Spec>
+  Status Check(const Spec&, int) {
     return Status::OK();
   }
 
-  Status ParseAnalyzer(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "analyzer", "'analyzer'"));
-    AnalyzerTuningSpec* a = &config->analyzer;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated analyzer block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "workers") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("workers must be >= 0");
-        a->workers = static_cast<int>(v);
-      } else if (attr == "max_corpus") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("max_corpus must be positive");
-        a->max_corpus = static_cast<int>(v);
-      } else if (attr == "shards") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("shards must be positive");
-        a->shards = static_cast<int>(v);
-      } else if (attr == "cycle_interval") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("cycle_interval must be positive");
-        a->cycle_interval = v;
-      } else {
-        return Err("unknown analyzer attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
+  Status Check(const GroupSpec& group, int line) {
+    std::set<std::string> members(group.members.begin(), group.members.end());
+    if (members.size() == group.members.size()) return Status::OK();
+    return c_.ErrAt(line, "group " + group.name + " lists a member twice");
   }
 
-  Status ParseServer(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "server", "'server'"));
-    ServerNetSpec* s = &config->server;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated server block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "listen") {
-        BISTRO_ASSIGN_OR_RETURN(s->listen, ExpectString());
-      } else if (attr == "max_frame_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("max_frame_bytes must be positive");
-        s->max_frame_bytes = v;
-      } else if (attr == "outbound_queue_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("outbound_queue_bytes must be positive");
-        s->outbound_queue_bytes = v;
-      } else if (attr == "reconnect_backoff_min") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("reconnect_backoff_min must be positive");
-        s->reconnect_backoff_min = v;
-      } else if (attr == "reconnect_backoff_max") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("reconnect_backoff_max must be positive");
-        s->reconnect_backoff_max = v;
-      } else if (attr == "ack_timeout") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("ack_timeout must be positive");
-        s->ack_timeout = v;
-      } else {
-        return Err("unknown server attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParsePeer(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "peer", "'peer'"));
-    PeerSpec peer;
-    BISTRO_ASSIGN_OR_RETURN(peer.name, ExpectIdent());
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated peer");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "address") {
-        BISTRO_ASSIGN_OR_RETURN(peer.address, ExpectString());
-      } else if (attr == "feeds") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        peer.feeds.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          peer.feeds.push_back(std::move(next));
-        }
-      } else if (attr == "shard") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t index, ExpectInt());
-        BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "of", "'of'"));
-        BISTRO_ASSIGN_OR_RETURN(int64_t count, ExpectInt());
-        if (count <= 0) return Err("shard count must be positive");
-        if (index < 0 || index >= count) {
-          return Err("shard index must be in [0, count)");
-        }
-        peer.shard_index = static_cast<int>(index);
-        peer.shard_count = static_cast<int>(count);
-      } else if (attr == "window") {
-        BISTRO_ASSIGN_OR_RETURN(peer.window, ExpectDuration());
-      } else if (attr == "replicas") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("replicas must be at least 1");
-        peer.replicas = static_cast<int>(n);
-      } else if (attr == "failover") {
-        BISTRO_ASSIGN_OR_RETURN(peer.failover, ExpectIdent());
-      } else if (attr == "probe_interval") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("probe_interval must be positive");
-        peer.probe_interval = v;
-      } else if (attr == "suspect_after") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("suspect_after must be at least 1");
-        peer.suspect_after = static_cast<int>(n);
-      } else if (attr == "down_after") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("down_after must be at least 1");
-        peer.down_after = static_cast<int>(n);
-      } else {
-        return Err("unknown peer attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (peer.address.empty()) {
-      return Status::InvalidArgument("peer " + peer.name + " has no address");
-    }
+  Status Check(const PeerSpec& peer, int line) {
+    const char* bad = nullptr;
     if (!peer.feeds.empty() && peer.shard_count > 0) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " sets both explicit feeds and sharding");
+      bad = "sets both explicit feeds and sharding";
+    } else if (peer.replicas > 1 && peer.shard_count == 0) {
+      bad = "sets replicas without sharding";
+    } else if (peer.shard_count > 0 && peer.replicas > peer.shard_count) {
+      bad = "sets replicas above its shard count";
+    } else if (peer.failover == peer.name) {
+      bad = "names itself as failover";
+    } else if (peer.suspect_after && peer.down_after &&
+               *peer.down_after < *peer.suspect_after) {
+      bad = "sets down_after below suspect_after";
     }
-    if (peer.replicas > 1 && peer.shard_count == 0) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " sets replicas without sharding");
-    }
-    if (peer.shard_count > 0 && peer.replicas > peer.shard_count) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " sets replicas above its shard count");
-    }
-    if (peer.failover == peer.name) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " names itself as failover");
-    }
-    if (peer.suspect_after && peer.down_after &&
-        *peer.down_after < *peer.suspect_after) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " sets down_after below suspect_after");
-    }
-    config->peers.push_back(std::move(peer));
+    if (bad) return c_.ErrAt(line, "peer " + peer.name + " " + bad);
     return Status::OK();
   }
 
-  Status ParseSubscriber(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(
-        Expect(TokKind::kIdent, "subscriber", "'subscriber'"));
-    SubscriberSpec sub;
-    BISTRO_ASSIGN_OR_RETURN(sub.name, ExpectIdent());
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated subscriber");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "host") {
-        BISTRO_ASSIGN_OR_RETURN(sub.host, ExpectString());
-      } else if (attr == "destination") {
-        BISTRO_ASSIGN_OR_RETURN(sub.destination, ExpectString());
-      } else if (attr == "feeds") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        sub.feeds.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          sub.feeds.push_back(std::move(next));
-        }
-      } else if (attr == "method") {
-        BISTRO_ASSIGN_OR_RETURN(std::string m, ExpectIdent());
-        if (m == "push") {
-          sub.method = DeliveryMethod::kPush;
-        } else if (m == "notify") {
-          sub.method = DeliveryMethod::kNotify;
-        } else {
-          return Err("unknown delivery method '" + m + "'");
-        }
-      } else if (attr == "window") {
-        BISTRO_ASSIGN_OR_RETURN(sub.window, ExpectDuration());
-      } else if (attr == "trigger") {
-        BISTRO_RETURN_IF_ERROR(ParseTrigger(&sub.trigger));
-      } else {
-        return Err("unknown subscriber attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
+  // Deeper plan cross-checks (unknown feeds, route targets, replication
+  // vs the peer fleet) run in the plan compiler, which sees the resolved
+  // registry.
+  Status Check(const PlanSpec& plan, int line) {
+    PlanSpec bare;
+    bare.feed = plan.feed;
+    if (plan == bare) {
+      return c_.ErrAt(line, "plan " + plan.feed + " declares nothing");
     }
-    ++pos_;  // consume '}'
-    if (sub.feeds.empty()) {
-      return Status::InvalidArgument("subscriber " + sub.name +
-                                     " subscribes to no feeds");
-    }
-    config->subscribers.push_back(std::move(sub));
     return Status::OK();
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  TokenCursor c_;
+  Names identities_;
+  Names relays_;
+  Names plans_;
 };
 
-// Emits a duration in the single-unit form the config lexer accepts
-// (FormatDuration's human form like "1m30s" does not round-trip).
-std::string DurationLiteral(Duration d) {
-  if (d % kDay == 0 && d != 0) return StrFormat("%lldd", (long long)(d / kDay));
-  if (d % kHour == 0 && d != 0) return StrFormat("%lldh", (long long)(d / kHour));
-  if (d % kMinute == 0 && d != 0) {
-    return StrFormat("%lldm", (long long)(d / kMinute));
+// Appends `<block> [name] { ... }`; a singleton block with every key at
+// its default is omitted.
+void FormatBlock(Block b, const std::string& name, const void* spec,
+                 std::string* out) {
+  std::string body;
+  for (const Row& row : Table()) {
+    if (row.block != b || row.opts.flags & kAlias) continue;
+    for (const std::string& v : row.access.format(row, spec)) {
+      body += "  " + std::string(row.key) + (v.empty() ? "" : " " + v) + ";\n";
+    }
   }
-  if (d % kSecond == 0) return StrFormat("%llds", (long long)(d / kSecond));
-  if (d % kMillisecond == 0) {
-    return StrFormat("%lldms", (long long)(d / kMillisecond));
-  }
-  return StrFormat("%lldus", (long long)d);
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
+  if (name.empty() && body.empty()) return;
+  *out += BlockName(b) + (name.empty() ? "" : " " + name) + " {\n" + body +
+          "}\n";
 }
 
 }  // namespace
 
 Result<ServerConfig> ParseConfig(std::string_view text) {
-  Lexer lexer(text);
-  BISTRO_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Run());
-  Parser parser(std::move(tokens));
-  return parser.Run();
+  BISTRO_ASSIGN_OR_RETURN(TokenCursor cursor, TokenCursor::Lex(text, "config"));
+  return Parser(std::move(cursor)).Run();
 }
 
 std::string FormatConfig(const ServerConfig& config) {
   std::string out;
-  for (const auto& feed : config.feeds) {
-    // Emit flat feeds with dotted names; groups are name prefixes, so the
-    // flat form is semantically identical to the nested form.
-    out += "feed " + feed.name + " {\n";
-    out += "  pattern " + Quote(feed.pattern) + ";\n";
-    for (const auto& alt : feed.alt_patterns) {
-      out += "  pattern " + Quote(alt) + ";\n";
+  // Feeds are written flat with dotted names; groups are name prefixes,
+  // so the flat form means the same as the nested one.
+  ForEachBlock(config, [&out](Block b, const auto& field) {
+    if constexpr (std::ranges::range<decltype(field)>) {
+      for (const auto& spec : field) FormatBlock(b, NameOf(spec), &spec, &out);
+    } else {
+      FormatBlock(b, "", &field, &out);
     }
-    if (!feed.normalize.rename_template.empty()) {
-      out += "  normalize " + Quote(feed.normalize.rename_template) + ";\n";
-    }
-    if (feed.normalize.action == CompressionAction::kCompress) {
-      out += "  compress " + std::string(CodecKindName(feed.normalize.codec)) +
-             ";\n";
-    } else if (feed.normalize.action == CompressionAction::kDecompress) {
-      out += "  decompress;\n";
-    }
-    if (feed.tardiness != kDefaultTardiness) {
-      out += "  tardiness " + DurationLiteral(feed.tardiness) + ";\n";
-    }
-    out += "}\n";
-  }
-  for (const auto& sub : config.subscribers) {
-    out += "subscriber " + sub.name + " {\n";
-    if (!sub.host.empty()) out += "  host " + Quote(sub.host) + ";\n";
-    if (!sub.destination.empty()) {
-      out += "  destination " + Quote(sub.destination) + ";\n";
-    }
-    out += "  feeds " + Join(sub.feeds, ", ") + ";\n";
-    out += std::string("  method ") +
-           (sub.method == DeliveryMethod::kPush ? "push" : "notify") + ";\n";
-    if (sub.window != 0) out += "  window " + DurationLiteral(sub.window) + ";\n";
-    const TriggerSpec& t = sub.trigger;
-    bool has_trigger = !t.command.empty() ||
-                       t.batch.mode != BatchSpec::Mode::kPerFile;
-    if (has_trigger) {
-      out += "  trigger ";
-      switch (t.batch.mode) {
-        case BatchSpec::Mode::kPerFile:
-          out += "file";
-          break;
-        case BatchSpec::Mode::kPunctuation:
-          out += "punctuation";
-          break;
-        case BatchSpec::Mode::kCount:
-          out += StrFormat("batch count %d", t.batch.count);
-          break;
-        case BatchSpec::Mode::kTime:
-          out += "batch timeout " + DurationLiteral(t.batch.timeout);
-          break;
-        case BatchSpec::Mode::kCountOrTime:
-          out += StrFormat("batch count %d timeout ", t.batch.count) +
-                 DurationLiteral(t.batch.timeout);
-          break;
-      }
-      if (!t.command.empty()) out += " exec " + Quote(t.command);
-      if (t.remote) out += " remote";
-      out += ";\n";
-    }
-    out += "}\n";
-  }
-  for (const GroupSpec& group : config.groups) {
-    out += "group " + group.name + " {\n";
-    out += "  feeds " + Join(group.feeds, ", ") + ";\n";
-    out += "  members " + Join(group.members, ", ") + ";\n";
-    if (group.window != 0) {
-      out += "  window " + DurationLiteral(group.window) + ";\n";
-    }
-    if (group.straggler_after) {
-      out += StrFormat("  straggler_after %d;\n", *group.straggler_after);
-    }
-    out += "}\n";
-  }
-  const DeliveryTuningSpec& d = config.delivery;
-  if (!d.empty()) {
-    out += "delivery {\n";
-    if (d.retry_backoff_min) {
-      out += "  retry_backoff_min " + DurationLiteral(*d.retry_backoff_min) +
-             ";\n";
-    }
-    if (d.retry_backoff_max) {
-      out += "  retry_backoff_max " + DurationLiteral(*d.retry_backoff_max) +
-             ";\n";
-    }
-    if (d.retry_multiplier) {
-      out += StrFormat("  retry_multiplier %g;\n", *d.retry_multiplier);
-    }
-    if (d.retry_jitter) {
-      out += std::string("  retry_jitter ") + (*d.retry_jitter ? "on" : "off") +
-             ";\n";
-    }
-    if (d.max_attempts) {
-      out += StrFormat("  max_attempts %d;\n", *d.max_attempts);
-    }
-    if (d.offline_after) {
-      out += StrFormat("  offline_after %d;\n", *d.offline_after);
-    }
-    if (d.probe_interval) {
-      out += "  probe_interval " + DurationLiteral(*d.probe_interval) + ";\n";
-    }
-    if (d.window) out += StrFormat("  window %d;\n", *d.window);
-    if (d.coalesce_bytes) {
-      out += StrFormat("  coalesce_bytes %lld;\n",
-                       (long long)*d.coalesce_bytes);
-    }
-    if (d.cache_bytes) {
-      out += StrFormat("  cache_bytes %lld;\n", (long long)*d.cache_bytes);
-    }
-    if (d.receipt_group) {
-      out += StrFormat("  receipt_group %d;\n", *d.receipt_group);
-    }
-    if (d.receipt_flush_interval) {
-      out += "  receipt_flush_interval " +
-             DurationLiteral(*d.receipt_flush_interval) + ";\n";
-    }
-    out += "}\n";
-  }
-  const IngestTuningSpec& g = config.ingest;
-  if (!g.empty()) {
-    out += "ingest {\n";
-    if (g.workers) out += StrFormat("  workers %d;\n", *g.workers);
-    if (g.queue_depth) out += StrFormat("  queue_depth %d;\n", *g.queue_depth);
-    if (g.batch) out += StrFormat("  batch %d;\n", *g.batch);
-    if (g.overload_policy) {
-      out += "  overload_policy " + *g.overload_policy + ";\n";
-    }
-    out += "}\n";
-  }
-  const AnalyzerTuningSpec& a = config.analyzer;
-  if (!a.empty()) {
-    out += "analyzer {\n";
-    if (a.workers) out += StrFormat("  workers %d;\n", *a.workers);
-    if (a.max_corpus) out += StrFormat("  max_corpus %d;\n", *a.max_corpus);
-    if (a.shards) out += StrFormat("  shards %d;\n", *a.shards);
-    if (a.cycle_interval) {
-      out += "  cycle_interval " + DurationLiteral(*a.cycle_interval) + ";\n";
-    }
-    out += "}\n";
-  }
-  const ReceiptTuningSpec& r = config.receipts;
-  if (!r.empty()) {
-    out += "receipts {\n";
-    if (r.shards) out += StrFormat("  shards %d;\n", *r.shards);
-    out += "}\n";
-  }
-  const ClassifierTuningSpec& cl = config.classifier;
-  if (!cl.empty()) {
-    out += "classifier {\n";
-    if (cl.mode) out += "  mode " + *cl.mode + ";\n";
-    out += "}\n";
-  }
-  for (const PlanSpec& plan : config.plans) {
-    out += "plan " + plan.feed + " {\n";
-    if (!plan.route.empty()) {
-      out += "  route " + Join(plan.route, ", ") + ";\n";
-    }
-    if (!plan.split.empty()) {
-      out += "  split ";
-      for (size_t i = 0; i < plan.split.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += StrFormat("%d to %s", plan.split[i].percent,
-                         plan.split[i].to.c_str());
-      }
-      out += ";\n";
-    }
-    if (plan.replicate) out += StrFormat("  replicate %d;\n", *plan.replicate);
-    if (plan.sample) out += StrFormat("  sample %g;\n", *plan.sample);
-    if (plan.transform) out += "  transform " + *plan.transform + ";\n";
-    if (plan.quota_files) {
-      out += StrFormat("  quota %lld per ", (long long)*plan.quota_files) +
-             DurationLiteral(plan.quota_interval) + ";\n";
-    }
-    if (plan.quota_bytes) {
-      out +=
-          StrFormat("  quota_bytes %lld per ", (long long)*plan.quota_bytes) +
-          DurationLiteral(plan.quota_interval) + ";\n";
-    }
-    if (plan.slo) out += "  slo " + *plan.slo + ";\n";
-    if (!plan.enrich.empty()) {
-      out += "  enrich " + Join(plan.enrich, ", ") + ";\n";
-    }
-    out += "}\n";
-  }
-  const ServerNetSpec& srv = config.server;
-  if (!srv.empty()) {
-    out += "server {\n";
-    if (!srv.listen.empty()) out += "  listen " + Quote(srv.listen) + ";\n";
-    if (srv.max_frame_bytes) {
-      out += StrFormat("  max_frame_bytes %lld;\n",
-                       (long long)*srv.max_frame_bytes);
-    }
-    if (srv.outbound_queue_bytes) {
-      out += StrFormat("  outbound_queue_bytes %lld;\n",
-                       (long long)*srv.outbound_queue_bytes);
-    }
-    if (srv.reconnect_backoff_min) {
-      out += "  reconnect_backoff_min " +
-             DurationLiteral(*srv.reconnect_backoff_min) + ";\n";
-    }
-    if (srv.reconnect_backoff_max) {
-      out += "  reconnect_backoff_max " +
-             DurationLiteral(*srv.reconnect_backoff_max) + ";\n";
-    }
-    if (srv.ack_timeout) {
-      out += "  ack_timeout " + DurationLiteral(*srv.ack_timeout) + ";\n";
-    }
-    out += "}\n";
-  }
-  for (const PeerSpec& peer : config.peers) {
-    out += "peer " + peer.name + " {\n";
-    out += "  address " + Quote(peer.address) + ";\n";
-    if (!peer.feeds.empty()) out += "  feeds " + Join(peer.feeds, ", ") + ";\n";
-    if (peer.shard_count > 0) {
-      out += StrFormat("  shard %d of %d;\n", peer.shard_index,
-                       peer.shard_count);
-    }
-    if (peer.replicas > 1) {
-      out += StrFormat("  replicas %d;\n", peer.replicas);
-    }
-    if (!peer.failover.empty()) out += "  failover " + peer.failover + ";\n";
-    if (peer.probe_interval) {
-      out += "  probe_interval " + DurationLiteral(*peer.probe_interval) +
-             ";\n";
-    }
-    if (peer.suspect_after) {
-      out += StrFormat("  suspect_after %d;\n", *peer.suspect_after);
-    }
-    if (peer.down_after) {
-      out += StrFormat("  down_after %d;\n", *peer.down_after);
-    }
-    if (peer.window != 0) {
-      out += "  window " + DurationLiteral(peer.window) + ";\n";
-    }
-    out += "}\n";
-  }
-  for (const RelaySpec& relay : config.relays) {
-    out += "relay " + relay.name + " {\n";
-    out += "  children " + Join(relay.children, ", ") + ";\n";
-    if (!relay.spool.empty()) out += "  spool " + Quote(relay.spool) + ";\n";
-    if (relay.retry_backoff) {
-      out += "  retry_backoff " + DurationLiteral(*relay.retry_backoff) + ";\n";
-    }
-    if (relay.max_attempts) {
-      out += StrFormat("  max_attempts %d;\n", *relay.max_attempts);
-    }
-    out += "}\n";
-  }
+  });
   return out;
+}
+
+std::vector<ConfigKey> ConfigKeys() {
+  std::vector<ConfigKey> keys;
+  for (const Row& row : Table()) {
+    keys.push_back({BlockName(row.block), row.key, row.opts.words});
+  }
+  return keys;
 }
 
 }  // namespace bistro

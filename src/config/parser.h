@@ -1,42 +1,27 @@
 #ifndef BISTRO_CONFIG_PARSER_H_
 #define BISTRO_CONFIG_PARSER_H_
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "config/spec.h"
 
 namespace bistro {
 
-/// Parses the Bistro configuration language (paper §3.1).
+/// Parses the Bistro configuration language (paper §3.1): a sequence of
+/// top-level blocks
 ///
-/// Grammar (informal):
+///   feed NAME { ... }          group NAME { ... }    subscriber NAME { ... }
+///   plan FEED-OR-GROUP { ... } relay NAME { ... }    peer NAME { ... }
+///   delivery { ... }   ingest { ... }   analyzer { ... }
+///   classifier { ... } receipts { ... } server { ... }
 ///
-///   config      := (group | feed | subscriber
-///                   | delivery | ingest | analyzer)*
-///   group       := "group" NAME "{" (group | feed)* "}"
-///   feed        := "feed" NAME "{" feed_attr* "}"
-///   feed_attr   := "pattern" STRING ";"
-///                | "normalize" STRING ";"
-///                | "compress" ("none"|"rle"|"lz") ";"
-///                | "decompress" ";"
-///                | "tardiness" DURATION ";"
-///   subscriber  := "subscriber" NAME "{" sub_attr* "}"
-///   sub_attr    := "host" STRING ";"
-///                | "destination" STRING ";"
-///                | "feeds" NAME ("," NAME)* ";"
-///                | "method" ("push"|"notify") ";"
-///                | "window" DURATION ";"
-///                | "trigger" trigger_spec ";"
-///   trigger_spec:= ("file" | "punctuation"
-///                   | "batch" batch_opt+ ) ["exec" STRING] ["remote"]
-///   batch_opt   := "count" INT | "timeout" DURATION
-///   delivery    := "delivery" "{" (KEY VALUE ";")* "}"
-///   ingest      := "ingest" "{" (KEY VALUE ";")* "}"
-///   analyzer    := "analyzer" "{" (KEY VALUE ";")* "}"
-///
-/// The delivery/ingest/analyzer tuning blocks take flat KEY VALUE pairs;
-/// every key is optional and unset keys keep compiled-in defaults (the
-/// full key reference with defaults is docs/OPERATIONS.md).
+/// whose bodies are `KEY VALUE;` statements. A `group` holding nested
+/// `feed`/`group` blocks is a feed-hierarchy prefix; one holding
+/// subscriber-group keys is a subscriber group. The keys of each block,
+/// their value kinds and bounds are the key table in config/parser.cc;
+/// docs/OPERATIONS.md documents every key (config_docs_test checks it).
 ///
 /// NAME is dotted inside `feeds` lists ("SNMP.CPU"); `#` starts a
 /// line comment; strings are double-quoted with \" and \\ escapes.
@@ -48,6 +33,18 @@ Result<ServerConfig> ParseConfig(std::string_view text);
 /// Serializes a config back to the configuration language (round-trips
 /// through ParseConfig). Useful for emitting analyzer-suggested configs.
 std::string FormatConfig(const ServerConfig& config);
+
+/// One key of the language as the parser's key table declares it: its
+/// block, its name, and the fixed words its value may use (enum values
+/// and keywords of its own syntax, such as the "of" in `shard 0 of 2`).
+struct ConfigKey {
+  std::string block;
+  std::string key;
+  std::vector<std::string> words;
+};
+
+/// Every key ParseConfig accepts, block by block.
+std::vector<ConfigKey> ConfigKeys();
 
 }  // namespace bistro
 

@@ -122,7 +122,7 @@ struct ReceiptTuningSpec {
   /// touched. 1 (default) = the seed's single-store layout, bit-compatible.
   std::optional<int> shards;
 
-  bool empty() const { return !shards; }
+  bool empty() const { return *this == ReceiptTuningSpec{}; }
 
   bool operator==(const ReceiptTuningSpec&) const = default;
 };
@@ -134,7 +134,7 @@ struct ClassifierTuningSpec {
   /// DFA), "trie" (literal-prefix index) or "linear" (scan every feed).
   std::optional<std::string> mode;
 
-  bool empty() const { return !mode; }
+  bool empty() const { return *this == ClassifierTuningSpec{}; }
 
   bool operator==(const ClassifierTuningSpec&) const = default;
 };
@@ -163,12 +163,7 @@ struct DeliveryTuningSpec {
   /// Max time a buffered delivery receipt waits for its group to fill.
   std::optional<Duration> receipt_flush_interval;
 
-  bool empty() const {
-    return !retry_backoff_min && !retry_backoff_max && !retry_multiplier &&
-           !retry_jitter && !max_attempts && !offline_after &&
-           !probe_interval && !window && !coalesce_bytes && !cache_bytes &&
-           !receipt_group && !receipt_flush_interval;
-  }
+  bool empty() const { return *this == DeliveryTuningSpec{}; }
 
   bool operator==(const DeliveryTuningSpec&) const = default;
 };
@@ -188,9 +183,7 @@ struct IngestTuningSpec {
   /// "block", "shed_oldest" or "spill" (validated at parse time).
   std::optional<std::string> overload_policy;
 
-  bool empty() const {
-    return !workers && !queue_depth && !batch && !overload_policy;
-  }
+  bool empty() const { return *this == IngestTuningSpec{}; }
 
   bool operator==(const IngestTuningSpec&) const = default;
 };
@@ -210,9 +203,7 @@ struct AnalyzerTuningSpec {
   /// Analysis cycle cadence.
   std::optional<Duration> cycle_interval;
 
-  bool empty() const {
-    return !workers && !max_corpus && !shards && !cycle_interval;
-  }
+  bool empty() const { return *this == AnalyzerTuningSpec{}; }
 
   bool operator==(const AnalyzerTuningSpec&) const = default;
 };
@@ -236,10 +227,7 @@ struct ServerNetSpec {
   /// Unacked sends older than this fail and drop the connection.
   std::optional<Duration> ack_timeout;
 
-  bool empty() const {
-    return listen.empty() && !max_frame_bytes && !outbound_queue_bytes &&
-           !reconnect_backoff_min && !reconnect_backoff_max && !ack_timeout;
-  }
+  bool empty() const { return *this == ServerNetSpec{}; }
 
   bool operator==(const ServerNetSpec&) const = default;
 };

@@ -1,209 +1,84 @@
 #include "fault/plan.h"
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
 
 #include "common/strings.h"
+#include "config/syntax.h"
 
 namespace bistro {
 
 namespace {
 
-// Token stream sharing the config language's lexical shape: identifiers,
-// quoted strings, numbers with optional unit suffix, and {};, with '#'
-// comments. Kept separate from config/parser.cc because fault plans are a
-// test/ops artifact, not part of the server configuration.
-enum class TokKind { kIdent, kString, kNumber, kPunct, kEof };
-
-struct Token {
-  TokKind kind = TokKind::kEof;
-  std::string text;
-  int line = 0;
-};
-
-Result<std::vector<Token>> Lex(std::string_view src) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  int line = 1;
-  auto alpha = [](char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) != 0;
-  };
-  auto digit = [](char c) {
-    return std::isdigit(static_cast<unsigned char>(c)) != 0;
-  };
-  while (pos < src.size()) {
-    char c = src[pos];
-    if (c == '\n') {
-      ++line;
-      ++pos;
-    } else if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == '#') {
-      while (pos < src.size() && src[pos] != '\n') ++pos;
-    } else if (c == '"') {
-      ++pos;
-      std::string text;
-      while (pos < src.size() && src[pos] != '"' && src[pos] != '\n') {
-        text += src[pos++];
-      }
-      if (pos >= src.size() || src[pos] != '"') {
-        return Status::InvalidArgument(
-            StrFormat("fault plan line %d: unterminated string", line));
-      }
-      ++pos;
-      out.push_back(Token{TokKind::kString, std::move(text), line});
-    } else if (alpha(c) || c == '_') {
-      size_t start = pos;
-      while (pos < src.size() &&
-             (alpha(src[pos]) || digit(src[pos]) || src[pos] == '_')) {
-        ++pos;
-      }
-      out.push_back(
-          Token{TokKind::kIdent, std::string(src.substr(start, pos - start)),
-                line});
-    } else if (digit(c) || c == '.' || c == '-') {
-      size_t start = pos;
-      if (src[pos] == '-') ++pos;
-      while (pos < src.size() && (digit(src[pos]) || src[pos] == '.')) ++pos;
-      while (pos < src.size() && alpha(src[pos])) ++pos;  // unit suffix
-      out.push_back(
-          Token{TokKind::kNumber, std::string(src.substr(start, pos - start)),
-                line});
-    } else if (c == '{' || c == '}' || c == ';') {
-      out.push_back(Token{TokKind::kPunct, std::string(1, c), line});
-      ++pos;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("fault plan line %d: unexpected character '%c'", line, c));
-    }
-  }
-  out.push_back(Token{TokKind::kEof, "", line});
-  return out;
-}
-
+// Fault plans share the configuration language's front end
+// (config/syntax.h); they are a test/ops artifact, not part of the
+// server configuration, so their grammar lives here.
 class PlanParser {
  public:
-  explicit PlanParser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit PlanParser(TokenCursor cursor) : c_(std::move(cursor)) {}
 
   Result<FaultPlan> Run() {
     FaultPlan plan;
-    BISTRO_RETURN_IF_ERROR(ExpectIdent("fault_plan"));
-    BISTRO_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!IsPunct("}")) {
-      if (AtEof()) return Err("unterminated fault_plan");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, TakeIdent());
-      if (attr == "seed") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, TakeInt());
-        plan.seed = static_cast<uint64_t>(v);
-        BISTRO_RETURN_IF_ERROR(ExpectPunct(";"));
-      } else if (attr == "vfs") {
+    BISTRO_RETURN_IF_ERROR(c_.ExpectWord("fault_plan"));
+    BISTRO_RETURN_IF_ERROR(c_.ExpectPunct("{"));
+    while (!c_.TakePunct("}")) {
+      if (c_.AtEof()) return c_.Err("unterminated fault_plan");
+      if (c_.TakeWord("seed")) {
+        BISTRO_ASSIGN_OR_RETURN(std::string text, c_.TakeNumber());
+        auto [end, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), plan.seed);
+        if (ec != std::errc() || end != text.data() + text.size()) {
+          return c_.Err("seed must be an unsigned 64-bit integer");
+        }
+        BISTRO_RETURN_IF_ERROR(c_.ExpectPunct(";"));
+      } else if (c_.TakeWord("vfs")) {
         BISTRO_RETURN_IF_ERROR(ParseVfs(&plan.vfs));
-      } else if (attr == "net") {
+      } else if (c_.TakeWord("net")) {
         BISTRO_RETURN_IF_ERROR(ParseNet(&plan.net));
       } else {
-        return Err("unknown fault_plan attribute '" + attr + "'");
+        return c_.Err("unknown fault_plan attribute");
       }
     }
-    ++pos_;  // consume '}'
-    if (!AtEof()) return Err("trailing input after fault_plan");
+    if (!c_.AtEof()) return c_.Err("trailing input after fault_plan");
     return plan;
   }
 
  private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  bool AtEof() const { return Peek().kind == TokKind::kEof; }
-  bool IsPunct(std::string_view p) const {
-    return Peek().kind == TokKind::kPunct && Peek().text == p;
-  }
-
-  Status Err(const std::string& what) const {
-    return Status::InvalidArgument(
-        StrFormat("fault plan line %d: %s (got '%s')", Peek().line,
-                  what.c_str(), Peek().text.c_str()));
-  }
-
-  Status ExpectIdent(std::string_view word) {
-    if (Peek().kind != TokKind::kIdent || Peek().text != word) {
-      return Err("expected '" + std::string(word) + "'");
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  Status ExpectPunct(std::string_view p) {
-    if (!IsPunct(p)) return Err("expected '" + std::string(p) + "'");
-    ++pos_;
-    return Status::OK();
-  }
-
-  Result<std::string> TakeIdent() {
-    if (Peek().kind != TokKind::kIdent) return Err("expected identifier");
-    return tokens_[pos_++].text;
-  }
-
-  Result<std::string> TakeString() {
-    if (Peek().kind != TokKind::kString) return Err("expected quoted string");
-    return tokens_[pos_++].text;
-  }
-
-  Result<int64_t> TakeInt() {
-    if (Peek().kind != TokKind::kNumber) return Err("expected integer");
-    auto v = ParseInt(Peek().text);
-    if (!v) return Err("bad integer");
-    ++pos_;
-    return *v;
-  }
-
-  Result<double> TakeProb() {
-    if (Peek().kind != TokKind::kNumber) return Err("expected probability");
-    auto v = ParseDouble(Peek().text);
-    if (!v || *v < 0.0 || *v > 1.0) return Err("probability must be in [0,1]");
-    ++pos_;
-    return *v;
-  }
-
-  Result<double> TakeDouble() {
-    if (Peek().kind != TokKind::kNumber) return Err("expected number");
-    auto v = ParseDouble(Peek().text);
-    if (!v) return Err("bad number");
-    ++pos_;
-    return *v;
-  }
-
-  Result<Duration> TakeDuration() {
-    if (Peek().kind != TokKind::kNumber) return Err("expected duration");
-    auto v = ParseDuration(Peek().text);
-    if (!v) return Err("bad duration");
-    ++pos_;
-    return *v;
-  }
+  Result<double> TakeProb() { return c_.TakeDouble("probability", 0, 1); }
 
   Status ParseVfs(VfsFaultSpec* vfs) {
-    BISTRO_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!IsPunct("}")) {
-      if (AtEof()) return Err("unterminated vfs block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, TakeIdent());
-      if (attr == "write_error") {
+    BISTRO_RETURN_IF_ERROR(c_.ExpectPunct("{"));
+    while (!c_.TakePunct("}")) {
+      if (c_.AtEof()) return c_.Err("unterminated vfs block");
+      if (c_.TakeWord("write_error")) {
         BISTRO_ASSIGN_OR_RETURN(vfs->write_error_prob, TakeProb());
-      } else if (attr == "torn_write") {
+      } else if (c_.TakeWord("torn_write")) {
         BISTRO_ASSIGN_OR_RETURN(vfs->torn_write_prob, TakeProb());
-      } else if (attr == "sync_error") {
+      } else if (c_.TakeWord("sync_error")) {
         BISTRO_ASSIGN_OR_RETURN(vfs->sync_error_prob, TakeProb());
-      } else if (attr == "scope") {
-        BISTRO_ASSIGN_OR_RETURN(vfs->scope, TakeString());
+      } else if (c_.TakeWord("scope")) {
+        BISTRO_ASSIGN_OR_RETURN(vfs->scope, c_.TakeString());
       } else {
-        return Err("unknown vfs attribute '" + attr + "'");
+        return c_.Err("unknown vfs attribute");
       }
-      BISTRO_RETURN_IF_ERROR(ExpectPunct(";"));
+      BISTRO_RETURN_IF_ERROR(c_.ExpectPunct(";"));
     }
-    ++pos_;  // consume '}'
+    return Status::OK();
+  }
+
+  // `"from" "to"`: the two distinct endpoints of a link directive.
+  Status TakeLink(const std::string& verb, std::string* from, std::string* to) {
+    BISTRO_ASSIGN_OR_RETURN(*from, c_.TakeString());
+    BISTRO_ASSIGN_OR_RETURN(*to, c_.TakeString());
+    if (*from == *to) return c_.Err(verb + " endpoints must differ");
     return Status::OK();
   }
 
   Status ParseNet(NetFaultSpec* net) {
-    BISTRO_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!IsPunct("}")) {
-      if (AtEof()) return Err("unterminated net block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, TakeIdent());
+    BISTRO_RETURN_IF_ERROR(c_.ExpectPunct("{"));
+    while (!c_.TakePunct("}")) {
+      if (c_.AtEof()) return c_.Err("unterminated net block");
+      BISTRO_ASSIGN_OR_RETURN(std::string attr, c_.TakeIdent());
       if (attr == "send_failure") {
         BISTRO_ASSIGN_OR_RETURN(net->send_failure_prob, TakeProb());
       } else if (attr == "corrupt") {
@@ -211,132 +86,104 @@ class PlanParser {
       } else if (attr == "ack_loss") {
         BISTRO_ASSIGN_OR_RETURN(net->ack_loss_prob, TakeProb());
       } else if (attr == "flap") {
-        LinkFlap flap;
-        BISTRO_ASSIGN_OR_RETURN(flap.endpoint, TakeString());
-        BISTRO_RETURN_IF_ERROR(ExpectIdent("down"));
-        BISTRO_ASSIGN_OR_RETURN(flap.down_at, TakeDuration());
-        BISTRO_RETURN_IF_ERROR(ExpectIdent("up"));
-        BISTRO_ASSIGN_OR_RETURN(flap.up_at, TakeDuration());
-        if (flap.up_at <= flap.down_at) return Err("flap must heal after it fails");
-        net->flaps.push_back(std::move(flap));
+        LinkFlap& flap = net->flaps.emplace_back();
+        BISTRO_ASSIGN_OR_RETURN(flap.endpoint, c_.TakeString());
+        BISTRO_RETURN_IF_ERROR(c_.ExpectWord("down"));
+        BISTRO_ASSIGN_OR_RETURN(flap.down_at, c_.TakeDuration());
+        BISTRO_RETURN_IF_ERROR(c_.ExpectWord("up"));
+        BISTRO_ASSIGN_OR_RETURN(flap.up_at, c_.TakeDuration());
+        if (flap.up_at <= flap.down_at) {
+          return c_.Err("flap must heal after it fails");
+        }
       } else if (attr == "degrade") {
-        LinkDegrade deg;
-        BISTRO_ASSIGN_OR_RETURN(deg.endpoint, TakeString());
-        BISTRO_ASSIGN_OR_RETURN(deg.factor, TakeDouble());
-        if (deg.factor < 1.0) return Err("degrade factor must be >= 1");
-        net->degrades.push_back(std::move(deg));
+        LinkDegrade& deg = net->degrades.emplace_back();
+        BISTRO_ASSIGN_OR_RETURN(deg.endpoint, c_.TakeString());
+        BISTRO_ASSIGN_OR_RETURN(
+            deg.factor, c_.TakeDouble("degrade factor", 1, HUGE_VAL));
       } else if (attr == "partition" || attr == "blackhole" ||
                  attr == "slow_link") {
-        LinkFault fault;
+        LinkFault& fault = net->link_faults.emplace_back();
         fault.kind = attr == "partition"   ? LinkFault::Kind::kPartition
                      : attr == "blackhole" ? LinkFault::Kind::kBlackhole
                                            : LinkFault::Kind::kSlowLink;
-        BISTRO_ASSIGN_OR_RETURN(fault.from, TakeString());
-        BISTRO_ASSIGN_OR_RETURN(fault.to, TakeString());
-        if (fault.from == fault.to) {
-          return Err(attr + " endpoints must differ");
-        }
+        BISTRO_RETURN_IF_ERROR(TakeLink(attr, &fault.from, &fault.to));
         if (fault.kind == LinkFault::Kind::kSlowLink) {
-          BISTRO_ASSIGN_OR_RETURN(fault.delay, TakeDuration());
-          if (fault.delay <= 0) return Err("slow_link delay must be positive");
+          BISTRO_ASSIGN_OR_RETURN(fault.delay,
+                                  c_.TakeDuration("slow_link delay", 1));
         }
-        BISTRO_RETURN_IF_ERROR(ExpectIdent("at"));
-        BISTRO_ASSIGN_OR_RETURN(fault.at, TakeDuration());
-        net->link_faults.push_back(std::move(fault));
+        BISTRO_RETURN_IF_ERROR(c_.ExpectWord("at"));
+        BISTRO_ASSIGN_OR_RETURN(fault.at, c_.TakeDuration());
       } else if (attr == "heal") {
-        LinkHeal heal;
-        BISTRO_ASSIGN_OR_RETURN(heal.from, TakeString());
-        BISTRO_ASSIGN_OR_RETURN(heal.to, TakeString());
-        if (heal.from == heal.to) return Err("heal endpoints must differ");
-        BISTRO_RETURN_IF_ERROR(ExpectIdent("at"));
-        BISTRO_ASSIGN_OR_RETURN(heal.at, TakeDuration());
-        net->link_heals.push_back(std::move(heal));
+        LinkHeal& heal = net->link_heals.emplace_back();
+        BISTRO_RETURN_IF_ERROR(TakeLink(attr, &heal.from, &heal.to));
+        BISTRO_RETURN_IF_ERROR(c_.ExpectWord("at"));
+        BISTRO_ASSIGN_OR_RETURN(heal.at, c_.TakeDuration());
       } else {
-        return Err("unknown net attribute '" + attr + "'");
+        return c_.Err("unknown net attribute '" + attr + "'");
       }
-      BISTRO_RETURN_IF_ERROR(ExpectPunct(";"));
+      BISTRO_RETURN_IF_ERROR(c_.ExpectPunct(";"));
     }
-    ++pos_;  // consume '}'
     return Status::OK();
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  TokenCursor c_;
 };
-
-std::string DurationLiteral(Duration d) {
-  if (d % kHour == 0 && d != 0) return StrFormat("%lldh", (long long)(d / kHour));
-  if (d % kMinute == 0 && d != 0) {
-    return StrFormat("%lldm", (long long)(d / kMinute));
-  }
-  if (d % kSecond == 0) return StrFormat("%llds", (long long)(d / kSecond));
-  if (d % kMillisecond == 0) {
-    return StrFormat("%lldms", (long long)(d / kMillisecond));
-  }
-  return StrFormat("%lldus", (long long)d);
-}
 
 }  // namespace
 
 Result<FaultPlan> ParseFaultPlan(std::string_view text) {
-  BISTRO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
-  PlanParser parser(std::move(tokens));
-  return parser.Run();
+  BISTRO_ASSIGN_OR_RETURN(
+      TokenCursor cursor,
+      TokenCursor::Lex(text, "fault plan", /*leading_dot_numbers=*/true));
+  return PlanParser(std::move(cursor)).Run();
 }
 
 std::string FormatFaultPlan(const FaultPlan& plan) {
   std::string out = "fault_plan {\n";
   out += StrFormat("  seed %llu;\n", (unsigned long long)plan.seed);
+  auto prob = [&out](const char* key, double p) {
+    if (p > 0) {
+      out += std::string("    ") + key + " " + DoubleLiteral(p) + ";\n";
+    }
+  };
   const VfsFaultSpec& v = plan.vfs;
   if (v != VfsFaultSpec{}) {
     out += "  vfs {\n";
-    if (v.write_error_prob > 0) {
-      out += StrFormat("    write_error %g;\n", v.write_error_prob);
-    }
-    if (v.torn_write_prob > 0) {
-      out += StrFormat("    torn_write %g;\n", v.torn_write_prob);
-    }
-    if (v.sync_error_prob > 0) {
-      out += StrFormat("    sync_error %g;\n", v.sync_error_prob);
-    }
-    if (!v.scope.empty()) out += "    scope \"" + v.scope + "\";\n";
+    prob("write_error", v.write_error_prob);
+    prob("torn_write", v.torn_write_prob);
+    prob("sync_error", v.sync_error_prob);
+    if (!v.scope.empty()) out += "    scope " + Quote(v.scope) + ";\n";
     out += "  }\n";
   }
   const NetFaultSpec& n = plan.net;
   if (n != NetFaultSpec{}) {
     out += "  net {\n";
-    if (n.send_failure_prob > 0) {
-      out += StrFormat("    send_failure %g;\n", n.send_failure_prob);
-    }
-    if (n.corrupt_prob > 0) {
-      out += StrFormat("    corrupt %g;\n", n.corrupt_prob);
-    }
-    if (n.ack_loss_prob > 0) {
-      out += StrFormat("    ack_loss %g;\n", n.ack_loss_prob);
-    }
+    prob("send_failure", n.send_failure_prob);
+    prob("corrupt", n.corrupt_prob);
+    prob("ack_loss", n.ack_loss_prob);
     for (const LinkFlap& f : n.flaps) {
-      out += "    flap \"" + f.endpoint + "\" down " +
+      out += "    flap " + Quote(f.endpoint) + " down " +
              DurationLiteral(f.down_at) + " up " + DurationLiteral(f.up_at) +
              ";\n";
     }
     for (const LinkDegrade& d : n.degrades) {
-      out += "    degrade \"" + d.endpoint + "\" " +
-             StrFormat("%g", d.factor) + ";\n";
+      out += "    degrade " + Quote(d.endpoint) + " " +
+             DoubleLiteral(d.factor) + ";\n";
     }
     for (const LinkFault& f : n.link_faults) {
       const char* verb = f.kind == LinkFault::Kind::kPartition ? "partition"
                          : f.kind == LinkFault::Kind::kBlackhole
                              ? "blackhole"
                              : "slow_link";
-      out += std::string("    ") + verb + " \"" + f.from + "\" \"" + f.to +
-             "\"";
+      out += std::string("    ") + verb + " " + Quote(f.from) + " " +
+             Quote(f.to);
       if (f.kind == LinkFault::Kind::kSlowLink) {
         out += " " + DurationLiteral(f.delay);
       }
       out += " at " + DurationLiteral(f.at) + ";\n";
     }
     for (const LinkHeal& h : n.link_heals) {
-      out += "    heal \"" + h.from + "\" \"" + h.to + "\" at " +
+      out += "    heal " + Quote(h.from) + " " + Quote(h.to) + " at " +
              DurationLiteral(h.at) + ";\n";
     }
     out += "  }\n";

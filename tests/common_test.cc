@@ -155,6 +155,13 @@ TEST(TimeTest, ParseDuration) {
   EXPECT_EQ(ParseDuration("2h"), 2 * kHour);
   EXPECT_EQ(ParseDuration("1d"), kDay);
   EXPECT_FALSE(ParseDuration("5 parsecs").has_value());
+  // Values beyond int64 microseconds are errors, not overflowed casts.
+  EXPECT_FALSE(ParseDuration("99999999999999999d").has_value());
+  EXPECT_FALSE(ParseDuration("300000000000d").has_value());
+  EXPECT_FALSE(ParseDuration("99999999999999999999999.5s").has_value());
+  EXPECT_FALSE(ParseDuration("99999999999999999.5d").has_value());
+  EXPECT_EQ(ParseDuration("9223372036854775807us"), INT64_MAX);
+  EXPECT_EQ(ParseDuration("1.5s"), 1500 * kMillisecond);
 }
 
 TEST(TimeTest, SimClockAdvance) {

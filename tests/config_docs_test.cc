@@ -105,19 +105,20 @@ TEST(ConfigDocsTest, PlansSnippetsParse) {
   ExpectDocConfigsParse("docs/PLANS.md", 5);
 }
 
+// The ingestion-plan guide documents every plan key and every fixed word
+// those keys take, straight from the parser's key table.
 TEST(ConfigDocsTest, PlansGuideCoversEveryPlanKey) {
   const std::string doc = ReadFileOrDie(DocPath("docs/PLANS.md"));
-  // Every keyword and enum value of the plan grammar (mirrors
-  // ParsePlan in src/config/parser.cc).
-  const char* kPlanKeys[] = {
-      "plan", "route", "split", "to", "replicate", "sample", "transform",
-      "none", "rle", "lz", "decompress", "quota", "quota_bytes", "per",
-      "slo", "interactive", "standard", "bulk", "enrich", "provenance",
-      "checksum",
-  };
-  for (const char* key : kPlanKeys) {
-    EXPECT_NE(doc.find(key), std::string::npos)
-        << "docs/PLANS.md never mentions plan key '" << key << "'";
+  EXPECT_NE(doc.find("`plan"), std::string::npos);
+  for (const ConfigKey& key : ConfigKeys()) {
+    if (key.block != "plan") continue;
+    EXPECT_NE(doc.find("`" + key.key), std::string::npos)
+        << "docs/PLANS.md never mentions plan key '" << key.key << "'";
+    for (const std::string& word : key.words) {
+      EXPECT_NE(doc.find(word), std::string::npos)
+          << "docs/PLANS.md never mentions '" << word << "' of plan key '"
+          << key.key << "'";
+    }
   }
 }
 
@@ -136,55 +137,31 @@ TEST(ConfigDocsTest, OperationsFaultSnippetsParse) {
 
 TEST(ConfigDocsTest, OperationsCoversEveryParserKey) {
   const std::string doc = ReadFileOrDie(DocPath("docs/OPERATIONS.md"));
-  // Every keyword and enum value the parsers accept (mirrors
-  // src/config/parser.cc and src/fault/plan.cc). Adding a config key
-  // without documenting it fails here.
-  const char* kKeys[] = {
-      // top-level blocks
-      "group", "feed", "subscriber", "delivery", "ingest", "analyzer",
-      // feed attributes + codec names
-      "pattern", "normalize", "compress", "decompress", "tardiness",
-      "none", "rle", "lz",
-      // subscriber attributes + enum values
-      "host", "destination", "feeds", "method", "push", "notify",
-      "window", "trigger",
-      // trigger grammar
-      "file", "punctuation", "batch", "count", "timeout", "exec", "remote",
-      // delivery tuning
-      "retry_backoff_min", "retry_backoff", "retry_backoff_max",
-      "retry_multiplier", "retry_jitter", "max_attempts", "offline_after",
-      "probe_interval", "coalesce_bytes", "cache_bytes", "receipt_group",
-      "receipt_flush_interval",
-      // ingest tuning + overload policies
-      "workers", "queue_depth", "overload_policy",
-      "block", "shed_oldest", "spill",
-      // analyzer tuning
-      "max_corpus", "shards", "cycle_interval",
-      // fan-out: subscriber groups, dissemination relays, receipt shards
-      "members", "straggler_after", "relay", "children", "spool", "receipts",
-      // classifier strategy
-      "classifier", "mode", "automaton", "trie", "linear",
-      // federation: server { } identity/socket tuning and peer blocks
-      "server", "listen", "max_frame_bytes", "outbound_queue_bytes",
-      "reconnect_backoff_min", "reconnect_backoff_max", "ack_timeout",
-      "peer", "address", "shard", "of",
-      // peer health + failover
-      "suspect_after", "down_after", "failover", "replicas",
-      // ingestion plans (full reference in docs/PLANS.md)
-      "plan", "route", "split", "to", "replicate", "sample", "transform",
-      "quota", "quota_bytes", "per", "slo", "interactive", "standard",
-      "bulk", "enrich", "provenance", "checksum",
-      // fault plans
+  // Every block, key and fixed value word of the config language, from
+  // the parser's key table: adding a key without documenting it fails
+  // here. Blocks and keys must appear as `code`.
+  for (const ConfigKey& key : ConfigKeys()) {
+    EXPECT_NE(doc.find("`" + key.block), std::string::npos)
+        << "docs/OPERATIONS.md never mentions block '" << key.block << "'";
+    EXPECT_NE(doc.find("`" + key.key + "`"), std::string::npos)
+        << "docs/OPERATIONS.md never mentions " << key.block << " key '"
+        << key.key << "'";
+    for (const std::string& word : key.words) {
+      EXPECT_NE(doc.find(word), std::string::npos)
+          << "docs/OPERATIONS.md never mentions '" << word << "' of "
+          << key.block << " key '" << key.key << "'";
+    }
+  }
+  // Fault-plan keywords (mirrors src/fault/plan.cc).
+  const char* kFaultKeys[] = {
       "fault_plan", "seed", "write_error", "torn_write", "sync_error",
       "scope", "send_failure", "corrupt", "ack_loss", "flap", "degrade",
       // network-partition link directives
       "partition", "blackhole", "slow_link", "heal", "at",
-      // booleans
-      "on", "off",
   };
-  for (const char* key : kKeys) {
+  for (const char* key : kFaultKeys) {
     EXPECT_NE(doc.find(key), std::string::npos)
-        << "docs/OPERATIONS.md never mentions config key '" << key << "'";
+        << "docs/OPERATIONS.md never mentions fault-plan key '" << key << "'";
   }
 }
 

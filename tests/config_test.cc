@@ -97,6 +97,27 @@ TEST(ConfigParseTest, ErrorsCarryLineNumbers) {
   ASSERT_FALSE(config.ok());
   EXPECT_NE(config.status().message().find("line 3"), std::string::npos)
       << config.status();
+  // Errors found after a block's closing brace name the block's keyword
+  // line.
+  const std::pair<const char*, const char*> kBlockErrors[] = {
+      {"\n\nfeed A {\n  tardiness 5s;\n}", "line 3"},
+      {"\npeer p {\n  feeds F;\n}", "line 2"},
+      {"\n\n\nrelay r {\n}", "line 4"},
+      {"group g { feeds F; members a; }\n\ngroup g { feeds F; members b; }",
+       "line 3"},
+      {"peer a { address \"h:1\"; }\npeer b {\n address \"h:2\";\n "
+       "failover ghost; }",
+       "line 2"},
+      {"feed F { pattern \"f_%i\"; }\nplan F { sample 5; }\n\n"
+       "plan F { slo bulk; }",
+       "line 4"},
+  };
+  for (const auto& [text, line] : kBlockErrors) {
+    auto bad = ParseConfig(text);
+    ASSERT_FALSE(bad.ok()) << text;
+    EXPECT_NE(bad.status().message().find(line), std::string::npos)
+        << text << "\n" << bad.status();
+  }
 }
 
 TEST(ConfigParseTest, RejectsBadPatternAtParseTime) {
@@ -192,6 +213,50 @@ TEST(ConfigParseTest, DeliveryBlockRejectsBadValues) {
   EXPECT_FALSE(ParseConfig("delivery { coalesce_bytes -1; }").ok());
   EXPECT_FALSE(ParseConfig("delivery { cache_bytes -4; }").ok());
   EXPECT_FALSE(ParseConfig("delivery { receipt_group 0; }").ok());
+  // Out of the field's range: rejected, not narrowed.
+  EXPECT_FALSE(ParseConfig("delivery { window 4294967297; }").ok());
+  EXPECT_FALSE(ParseConfig("delivery { max_attempts 4294967297; }").ok());
+  EXPECT_FALSE(ParseConfig("delivery { probe_interval -5s; }").ok());
+  EXPECT_FALSE(ParseConfig("delivery { retry_backoff_min -1s; }").ok());
+  EXPECT_FALSE(
+      ParseConfig("delivery { receipt_flush_interval 300000000000d; }").ok());
+}
+
+TEST(ConfigParseTest, RejectsNegativeAndOverflowingDurations) {
+  EXPECT_FALSE(
+      ParseConfig(R"(feed F { pattern "f_%i"; tardiness -1m; })").ok());
+  EXPECT_FALSE(
+      ParseConfig(R"(feed F { pattern "f_%i"; tardiness 99999999999999999d; })")
+          .ok());
+  EXPECT_FALSE(ParseConfig("subscriber s { feeds F; window -3h; }").ok());
+  EXPECT_FALSE(
+      ParseConfig("subscriber s { feeds F; trigger batch timeout -1s; }").ok());
+  // Zero stays accepted wherever it was.
+  auto zero = ParseConfig(
+      "delivery { probe_interval 0s; retry_backoff_min 0s; }\n"
+      "subscriber s { feeds F; window 0s; }");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->delivery.probe_interval, 0);
+}
+
+TEST(ConfigParseTest, SubscribersGroupsAndPeersShareOneNamespace) {
+  const char* kSub = "subscriber x { feeds F; }\n";
+  const char* kGroup = "group x { feeds F; members m; }\n";
+  const char* kPeer = "peer x { address \"h:1\"; }\n";
+  const char* kBlocks[] = {kSub, kGroup, kPeer};
+  for (const char* first : kBlocks) {
+    for (const char* second : kBlocks) {
+      std::string text = std::string(first) + second;
+      auto config = ParseConfig(text);
+      ASSERT_FALSE(config.ok()) << text;
+      EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
+          << config.status();
+    }
+  }
+  // Relays keep a namespace of their own.
+  EXPECT_FALSE(ParseConfig("relay r { children a; }\nrelay r { children b; }")
+                   .ok());
+  EXPECT_TRUE(ParseConfig(std::string(kSub) + "relay x { children a; }").ok());
 }
 
 TEST(ConfigParseTest, AnalyzerTuningBlock) {
@@ -222,6 +287,7 @@ TEST(ConfigParseTest, AnalyzerBlockRejectsBadValues) {
   EXPECT_FALSE(ParseConfig("analyzer { workers -1; }").ok());
   EXPECT_FALSE(ParseConfig("analyzer { max_corpus 0; }").ok());
   EXPECT_FALSE(ParseConfig("analyzer { shards 0; }").ok());
+  EXPECT_FALSE(ParseConfig("analyzer { shards 4294967296; }").ok());
   EXPECT_FALSE(ParseConfig("analyzer { cycle_interval 0s; }").ok());
   EXPECT_FALSE(ParseConfig("analyzer { frobnicate 1; }").ok());
   EXPECT_FALSE(ParseConfig("analyzer { workers 1; ").ok());  // unterminated
@@ -396,6 +462,21 @@ TEST(ConfigFormatTest, ClassifierBlockRoundTrips) {
   }
   EXPECT_FALSE(ParseConfig("classifier { mode hash; }").ok());
   EXPECT_FALSE(ParseConfig("classifier { workers 2; }").ok());
+}
+
+TEST(ConfigFormatTest, DoublesRoundTripExactly) {
+  auto config = ParseConfig(R"(
+feed F { pattern "f_%i"; }
+delivery { retry_multiplier 1.23456789; }
+plan F { sample 33.3333333; }
+)");
+  ASSERT_TRUE(config.ok()) << config.status();
+  std::string formatted = FormatConfig(*config);
+  auto reparsed = ParseConfig(formatted);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << formatted;
+  EXPECT_EQ(*reparsed, *config) << formatted;
+  EXPECT_EQ(reparsed->delivery.retry_multiplier, 1.23456789);
+  EXPECT_EQ(reparsed->plans[0].sample, 33.3333333);
 }
 
 TEST(ConfigFormatTest, RoundTripsThroughParse) {

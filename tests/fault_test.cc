@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "common/random.h"
 #include "common/strings.h"
 #include "config/parser.h"
 #include "core/server.h"
@@ -131,6 +132,64 @@ TEST(FaultPlanTest, LinkDirectivesRoundTrip) {
   auto again = ParseFaultPlan(text);
   ASSERT_TRUE(again.ok()) << again.status() << "\n" << text;
   EXPECT_EQ(*again, *plan) << text;
+}
+
+// A random plan touching every field; endpoint names carry quotes and
+// backslashes, probabilities and factors carry more than six digits.
+FaultPlan RandomFaultPlan(Rng* rng) {
+  auto name = [rng] {
+    return rng->AlnumString(1 + rng->Uniform(6)) +
+           (rng->Bernoulli(0.3) ? "\"q\\" : "");
+  };
+  auto time = [rng] {
+    return static_cast<Duration>(rng->Uniform(3)) * kHour +
+           static_cast<Duration>(rng->Uniform(1000)) * kMillisecond;
+  };
+  FaultPlan plan;
+  plan.seed = rng->Next();
+  plan.vfs.write_error_prob = rng->NextDouble();
+  plan.vfs.torn_write_prob = rng->Bernoulli(0.5) ? rng->NextDouble() : 0.0;
+  plan.vfs.sync_error_prob = rng->NextDouble() / 1000;
+  if (rng->Bernoulli(0.7)) plan.vfs.scope = "/" + name();
+  plan.net.send_failure_prob = rng->NextDouble();
+  plan.net.corrupt_prob = rng->Bernoulli(0.5) ? rng->NextDouble() : 1.0;
+  plan.net.ack_loss_prob = rng->NextDouble() / 1e6;
+  for (int i = static_cast<int>(rng->Uniform(3)); i > 0; --i) {
+    LinkFlap flap{name(), time(), 0};
+    flap.up_at = flap.down_at + 1 + time();
+    plan.net.flaps.push_back(flap);
+    plan.net.degrades.push_back({name(), 1.0 + rng->NextDouble() * 9});
+  }
+  for (int i = static_cast<int>(rng->Uniform(4)); i > 0; --i) {
+    LinkFault fault;
+    fault.kind = static_cast<LinkFault::Kind>(rng->Uniform(3));
+    fault.from = "a" + name();
+    fault.to = "b" + name();
+    if (fault.kind == LinkFault::Kind::kSlowLink) fault.delay = 1 + time();
+    fault.at = time();
+    plan.net.link_faults.push_back(fault);
+    plan.net.link_heals.push_back({fault.from, fault.to, fault.at + time()});
+  }
+  return plan;
+}
+
+TEST(FaultPlanTest, RandomPlansRoundTrip) {
+  FaultPlan edge;
+  edge.seed = (1ull << 63) + 1;  // above INT64_MAX
+  edge.vfs.scope = "a\"b";
+  std::vector<FaultPlan> plans = {edge};
+  Rng rng(17);
+  for (int i = 0; i < 300; ++i) plans.push_back(RandomFaultPlan(&rng));
+  for (const FaultPlan& plan : plans) {
+    std::string text = FormatFaultPlan(plan);
+    auto again = ParseFaultPlan(text);
+    ASSERT_TRUE(again.ok()) << again.status() << "\n" << text;
+    EXPECT_EQ(*again, plan) << text;
+  }
+  // Numbers may still start with a '.'.
+  auto dot = ParseFaultPlan("fault_plan { vfs { write_error .25; } }");
+  ASSERT_TRUE(dot.ok()) << dot.status();
+  EXPECT_EQ(dot->vfs.write_error_prob, 0.25);
 }
 
 TEST(FaultPlanTest, RejectsBadLinkDirectives) {

@@ -8,6 +8,7 @@
 //    never yields corruption errors, only a consistent earlier state).
 
 #include <algorithm>
+#include <climits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -99,6 +100,136 @@ ServerConfig RandomConfig(Rng* rng) {
     }
     config.subscribers.push_back(std::move(sub));
   }
+  // Everything below is written field by field, independently of the
+  // parser's key table, so a wrong or missing table row fails the test.
+  auto pick_feed = [&] {
+    return config.feeds[rng->Uniform(config.feeds.size())].name;
+  };
+  // Durations at microsecond grain, up to ~11 days.
+  auto duration = [&] {
+    return static_cast<Duration>(rng->Uniform(1ull << 40));
+  };
+  auto positive = [&] { return 1 + duration(); };
+  auto count = [&] {
+    return 1 + static_cast<int>(rng->Uniform(1u << 31) % INT_MAX);
+  };
+  auto big = [&] { return static_cast<int64_t>(rng->Uniform(1ull << 62)); };
+  // Doubles with more digits than "%g" keeps.
+  auto fine = [&](double lo, double span) {
+    return lo + rng->NextDouble() * span;
+  };
+  for (int g = static_cast<int>(rng->Uniform(3)); g > 0; --g) {
+    GroupSpec group;
+    group.name = "grp" + std::to_string(g);
+    group.feeds.push_back(pick_feed());
+    for (int m = 1 + static_cast<int>(rng->Uniform(3)); m > 0; --m) {
+      group.members.push_back("m" + std::to_string(m));
+    }
+    if (rng->Bernoulli(0.5)) group.window = duration();
+    if (rng->Bernoulli(0.5)) group.straggler_after = count();
+    config.groups.push_back(std::move(group));
+  }
+  for (int r = static_cast<int>(rng->Uniform(3)); r > 0; --r) {
+    RelaySpec relay;
+    relay.name = "relay" + std::to_string(r);
+    relay.children = {"c" + rng->AlnumString(3), "peer0"};
+    if (rng->Bernoulli(0.5)) relay.spool = "/spool/\"" + rng->AlnumString(4);
+    if (rng->Bernoulli(0.5)) relay.retry_backoff = positive();
+    if (rng->Bernoulli(0.5)) relay.max_attempts = count();
+    config.relays.push_back(std::move(relay));
+  }
+  DeliveryTuningSpec& d = config.delivery;
+  if (rng->Bernoulli(0.7)) d.retry_backoff_min = duration();
+  if (rng->Bernoulli(0.7)) d.retry_backoff_max = duration();
+  if (rng->Bernoulli(0.7)) d.retry_multiplier = fine(1, 5);
+  if (rng->Bernoulli(0.7)) d.retry_jitter = rng->Bernoulli(0.5);
+  if (rng->Bernoulli(0.7)) d.max_attempts = count();
+  if (rng->Bernoulli(0.7)) d.offline_after = count();
+  if (rng->Bernoulli(0.7)) d.probe_interval = duration();
+  if (rng->Bernoulli(0.7)) d.window = count() - 1;
+  if (rng->Bernoulli(0.7)) d.coalesce_bytes = big();
+  if (rng->Bernoulli(0.7)) d.cache_bytes = big();
+  if (rng->Bernoulli(0.7)) d.receipt_group = count();
+  if (rng->Bernoulli(0.7)) d.receipt_flush_interval = duration();
+  IngestTuningSpec& in = config.ingest;
+  if (rng->Bernoulli(0.7)) in.workers = count() - 1;
+  if (rng->Bernoulli(0.7)) in.queue_depth = count();
+  if (rng->Bernoulli(0.7)) in.batch = count();
+  static const char* kPolicies[] = {"block", "shed_oldest", "spill"};
+  if (rng->Bernoulli(0.7)) in.overload_policy = kPolicies[rng->Uniform(3)];
+  AnalyzerTuningSpec& a = config.analyzer;
+  if (rng->Bernoulli(0.7)) a.workers = count() - 1;
+  if (rng->Bernoulli(0.7)) a.max_corpus = count();
+  if (rng->Bernoulli(0.7)) a.shards = count();
+  if (rng->Bernoulli(0.7)) a.cycle_interval = positive();
+  if (rng->Bernoulli(0.7)) {
+    config.receipts.shards = 1 + static_cast<int>(rng->Uniform(256));
+  }
+  static const char* kModes[] = {"automaton", "trie", "linear"};
+  if (rng->Bernoulli(0.7)) config.classifier.mode = kModes[rng->Uniform(3)];
+  ServerNetSpec& srv = config.server;
+  if (rng->Bernoulli(0.7)) {
+    srv.listen = "127.0.0.1:" + std::to_string(rng->Uniform(65536));
+  }
+  if (rng->Bernoulli(0.7)) srv.max_frame_bytes = 1 + big();
+  if (rng->Bernoulli(0.7)) srv.outbound_queue_bytes = 1 + big();
+  if (rng->Bernoulli(0.7)) srv.reconnect_backoff_min = positive();
+  if (rng->Bernoulli(0.7)) srv.reconnect_backoff_max = positive();
+  if (rng->Bernoulli(0.7)) srv.ack_timeout = positive();
+  int peers = static_cast<int>(rng->Uniform(4));
+  for (int p = 0; p < peers; ++p) {
+    PeerSpec peer;
+    peer.name = "peer" + std::to_string(p);
+    peer.address = "10.0.0." + std::to_string(p) + ":4400";
+    if (rng->Bernoulli(0.5)) {
+      peer.shard_count = 1 + static_cast<int>(rng->Uniform(8));
+      peer.shard_index = static_cast<int>(rng->Uniform(peer.shard_count));
+      peer.replicas = 1 + static_cast<int>(rng->Uniform(peer.shard_count));
+    } else if (rng->Bernoulli(0.5)) {
+      peer.feeds = {pick_feed()};
+    }
+    if (peers > 1 && rng->Bernoulli(0.5)) {
+      peer.failover = "peer" + std::to_string((p + 1) % peers);
+    }
+    if (rng->Bernoulli(0.5)) peer.probe_interval = positive();
+    if (rng->Bernoulli(0.5)) peer.suspect_after = 1 + count() / 2;
+    if (rng->Bernoulli(0.5)) {
+      peer.down_after = peer.suspect_after.value_or(1) +
+                        static_cast<int>(rng->Uniform(1000));
+    }
+    if (rng->Bernoulli(0.5)) peer.window = duration();
+    config.peers.push_back(std::move(peer));
+  }
+  static const char* kTransforms[] = {"none", "rle", "lz", "decompress"};
+  static const char* kSlos[] = {"interactive", "standard", "bulk"};
+  static const char* kEnrich[] = {"provenance", "checksum"};
+  for (size_t f = 0; f < config.feeds.size(); ++f) {
+    if (!rng->Bernoulli(0.5)) continue;
+    PlanSpec plan;
+    plan.feed = config.feeds[f].name;  // selectors stay distinct
+    if (rng->Bernoulli(0.5)) plan.route = {"sub0", "grp1"};
+    if (rng->Bernoulli(0.4)) {
+      int first = 1 + static_cast<int>(rng->Uniform(98));
+      plan.split = {{first, "arm_a"}, {100 - first, "arm_b"}};
+    }
+    if (rng->Bernoulli(0.5)) plan.replicate = count();
+    if (rng->Bernoulli(0.5)) plan.sample = fine(1e-9, 100 - 1e-9);
+    if (rng->Bernoulli(0.5)) plan.transform = kTransforms[rng->Uniform(4)];
+    if (rng->Bernoulli(0.5)) plan.quota_files = 1 + big();
+    if (rng->Bernoulli(0.5)) plan.quota_bytes = 1 + big();
+    if ((plan.quota_files || plan.quota_bytes) && rng->Bernoulli(0.5)) {
+      plan.quota_interval = positive();
+    }
+    if (rng->Bernoulli(0.5)) plan.slo = kSlos[rng->Uniform(3)];
+    for (int e = static_cast<int>(rng->Uniform(3)); e > 0; --e) {
+      plan.enrich.push_back(kEnrich[rng->Uniform(2)]);
+    }
+    // A plan must declare something.
+    if (!plan.slo && plan.route.empty() && plan.split.empty()) {
+      plan.slo = "bulk";
+    }
+    config.plans.push_back(std::move(plan));
+  }
   return config;
 }
 
@@ -106,7 +237,7 @@ class ConfigFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConfigFuzzTest, FormatParseRoundTrip) {
   Rng rng(GetParam() * 101);
-  for (int iter = 0; iter < 25; ++iter) {
+  for (int iter = 0; iter < 200; ++iter) {  // 1000 configs over 5 seeds
     ServerConfig config = RandomConfig(&rng);
     std::string text = FormatConfig(config);
     auto reparsed = ParseConfig(text);
