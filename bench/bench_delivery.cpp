@@ -176,11 +176,11 @@ RunResult RunOne(const BenchConfig& cfg, int fanout, int num_files,
   BistroServer::Options opts;
   opts.metrics = &metrics;
   opts.kv.sync_wal = true;  // receipts are durable; fsync is the 500us cost
-  opts.delivery.window = cfg.window;
-  opts.delivery.coalesce_bytes = cfg.coalesce_bytes;
-  opts.delivery.cache_bytes = cfg.cache_bytes;
-  opts.delivery.receipt_group = cfg.receipt_group;
-  opts.delivery.receipt_flush_interval = 100 * kMillisecond;
+  config->delivery.window = cfg.window;
+  config->delivery.coalesce_bytes = cfg.coalesce_bytes;
+  config->delivery.cache_bytes = cfg.cache_bytes;
+  config->delivery.receipt_group = cfg.receipt_group;
+  config->delivery.receipt_flush_interval = 100 * kMillisecond;
   auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
                                      &invoker, &logger, &scheduler);
   if (!server.ok()) {
@@ -368,11 +368,11 @@ FanoutResult RunFanout(const char* label, int groups, int members_per_group,
   BistroServer::Options opts;
   opts.metrics = &metrics;
   opts.kv.sync_wal = true;
-  opts.delivery.window = 8;
-  opts.delivery.coalesce_bytes = 16 * 1024;
-  opts.delivery.cache_bytes = 64 * 1024 * 1024;
-  opts.delivery.receipt_group = 32;
-  opts.delivery.receipt_flush_interval = 100 * kMillisecond;
+  config->delivery.window = 8;
+  config->delivery.coalesce_bytes = 16 * 1024;
+  config->delivery.cache_bytes = 64 * 1024 * 1024;
+  config->delivery.receipt_group = 32;
+  config->delivery.receipt_flush_interval = 100 * kMillisecond;
   auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
                                      &invoker, &logger, &scheduler);
   if (!server.ok()) {

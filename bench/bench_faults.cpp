@@ -89,9 +89,9 @@ subscriber app { feeds CPU; method push; }
 
   BistroServer::Options opts;
   opts.metrics = &metrics;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.max_attempts = 100000;
+  config->delivery.retry_backoff_min = 2 * kSecond;
+  config->delivery.retry_backoff_max = 30 * kSecond;
+  config->delivery.max_attempts = 100000;
   auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
                                      &invoker, &logger);
   if (!server.ok()) {

@@ -120,8 +120,8 @@ RunResult RunPolicy(const std::string& label,
   });
 
   BistroServer::Options opts;
-  opts.delivery.retry_backoff = 10 * kSecond;
-  opts.delivery.probe_interval = 60 * kSecond;
+  config->delivery.retry_backoff_min = 10 * kSecond;
+  config->delivery.probe_interval = 60 * kSecond;
   auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
                                      &invoker, &logger, scheduler.get());
   if (!server.ok()) {

@@ -55,7 +55,7 @@ subscriber warehouse { feeds SNMP; method push; }
   (*server)->StartMaintenanceTimer();
 
   AnalyzerDaemon::Options daemon_opts;
-  daemon_opts.interval = 15 * kMinute;
+  daemon_opts.cycle_interval = 15 * kMinute;
   daemon_opts.analyzer.discovery.min_support = 3;
   AnalyzerDaemon daemon(server->get(), &loop, &logger, daemon_opts);
   daemon.Start();

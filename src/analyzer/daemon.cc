@@ -10,21 +10,14 @@ namespace {
 IncrementalAnalyzer::Options StreamOptions(const AnalyzerDaemon::Options& o) {
   IncrementalAnalyzer::Options stream;
   stream.analyzer = o.analyzer;
-  stream.workers = o.workers;
-  stream.corpus.shards = o.shards;
-  stream.corpus.max_corpus = o.max_corpus;
+  stream.workers = static_cast<size_t>(o.workers);
+  stream.corpus.shards = static_cast<size_t>(o.shards);
+  stream.corpus.max_corpus = static_cast<size_t>(o.max_corpus);
   stream.corpus.max_exemplars = o.max_exemplars;
   return stream;
 }
 
 }  // namespace
-
-void AnalyzerDaemon::Options::ApplyTuning(const AnalyzerTuningSpec& tuning) {
-  if (tuning.workers) workers = static_cast<size_t>(*tuning.workers);
-  if (tuning.max_corpus) max_corpus = static_cast<size_t>(*tuning.max_corpus);
-  if (tuning.shards) shards = static_cast<size_t>(*tuning.shards);
-  if (tuning.cycle_interval) interval = *tuning.cycle_interval;
-}
 
 AnalyzerDaemon::AnalyzerDaemon(BistroServer* server, EventLoop* loop,
                                Logger* logger, Options options)
@@ -50,7 +43,7 @@ AnalyzerDaemon::~AnalyzerDaemon() = default;
 void AnalyzerDaemon::Start() {
   if (started_) return;
   started_ = true;
-  loop_->PostAfter(options_.interval,
+  loop_->PostAfter(options_.cycle_interval,
                    [weak = std::weak_ptr<char>(alive_), this] {
                      if (!weak.lock()) return;
                      RunOnce();

@@ -28,24 +28,13 @@ namespace bistro {
 /// exposed for subscriber review (§3.2).
 class AnalyzerDaemon {
  public:
-  struct Options {
-    Options() {}
-    Duration interval = 10 * kMinute;
+  /// The config's `analyzer { }` block plus the knobs without a key.
+  struct Options : AnalyzerTuningSpec {
+    explicit Options(const AnalyzerTuningSpec& tuning = {})
+        : AnalyzerTuningSpec(tuning) {}
     FeedAnalyzer::Options analyzer;
-    /// Retention budget: names kept in the unmatched corpus (and per
-    /// matched-feed sample), oldest shed first.
-    size_t max_corpus = 100000;
-    /// Worker threads folding/inducing shards; 0 = inline deterministic.
-    size_t workers = 0;
-    /// Stem-keyed corpus shards.
-    size_t shards = 16;
     /// Per-cluster exemplar reservoir size.
     size_t max_exemplars = 512;
-
-    /// Applies a parsed `analyzer { ... }` config block: set keys
-    /// override the fields above, unset keys leave them untouched (the
-    /// same contract as the delivery/ingest tuning blocks).
-    void ApplyTuning(const AnalyzerTuningSpec& tuning);
   };
 
   AnalyzerDaemon(BistroServer* server, EventLoop* loop, Logger* logger,

@@ -210,25 +210,16 @@ Classification FeedClassifier::ClassifySnapshot(const std::string& name) const {
   return result;
 }
 
-std::string_view IndexModeName(FeedClassifier::IndexMode mode) {
+std::string_view IndexModeName(IndexMode mode) {
   switch (mode) {
-    case FeedClassifier::IndexMode::kLinear:
+    case IndexMode::kLinear:
       return "linear";
-    case FeedClassifier::IndexMode::kPrefixIndex:
+    case IndexMode::kPrefixIndex:
       return "trie";
-    case FeedClassifier::IndexMode::kAutomaton:
+    case IndexMode::kAutomaton:
       return "automaton";
   }
   return "automaton";
-}
-
-Result<FeedClassifier::IndexMode> IndexModeFromName(std::string_view name) {
-  if (name == "automaton") return FeedClassifier::IndexMode::kAutomaton;
-  if (name == "trie") return FeedClassifier::IndexMode::kPrefixIndex;
-  if (name == "linear") return FeedClassifier::IndexMode::kLinear;
-  return Status::InvalidArgument("unknown classifier mode '" +
-                                 std::string(name) +
-                                 "' (expected automaton, trie or linear)");
 }
 
 }  // namespace bistro

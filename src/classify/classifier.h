@@ -57,7 +57,8 @@ struct ClassifierStats {
 /// Rebuild requires external exclusion, exactly as before.
 class FeedClassifier {
  public:
-  enum class IndexMode { kLinear, kPrefixIndex, kAutomaton };
+  /// The config's `classifier { mode; }` (config/spec.h).
+  using IndexMode = bistro::IndexMode;
 
   explicit FeedClassifier(const FeedRegistry* registry,
                           IndexMode mode = IndexMode::kAutomaton);
@@ -158,9 +159,8 @@ class FeedClassifier {
   mutable std::atomic<uint64_t> candidate_checks_{0};
 };
 
-/// Parse/format helpers for the `classifier { mode ...; }` config key.
-std::string_view IndexModeName(FeedClassifier::IndexMode mode);
-Result<FeedClassifier::IndexMode> IndexModeFromName(std::string_view name);
+/// The mode's word in the `classifier { mode ...; }` config key.
+std::string_view IndexModeName(IndexMode mode);
 
 }  // namespace bistro
 

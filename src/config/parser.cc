@@ -75,10 +75,12 @@ constexpr double kNoMax = std::numeric_limits<double>::infinity();
 struct Row;
 using Values = std::vector<std::string>;
 // Parses one value into the block's spec / lists the values the spec
-// formats to, one per line ("" = the bare key), none at the default.
+// formats to, one per line ("" = the bare key), none at the default /
+// writes the key's default ("" = none; null for irregular rows).
 struct Access {
   Status (*parse)(TokenCursor&, const Row&, void* spec);
   Values (*format)(const Row&, const void* spec);
+  std::string (*initial)(const Row&) = nullptr;
 };
 
 struct Opts {
@@ -158,7 +160,7 @@ Status Read(TokenCursor& c, const Row& row, T* out) {
 template <class T>
 std::string Write(const Row& row, const T& v) {
   if constexpr (kIsOptional<T>) {
-    return Write(row, *v);
+    return v ? Write(row, *v) : "";
   } else if constexpr (std::is_same_v<T, std::string>) {
     bool quoted = row.kind == Kind::kString || row.kind == Kind::kPattern;
     return quoted ? Quote(v) : v;
@@ -219,9 +221,15 @@ Values WriteField(const Row& row, const decltype(OwnerOf(First))& spec) {
 
 // A regular row's access to the field at member path First.Rest... of
 // the block's spec.
-template <auto... Path>
+template <auto First, auto... Rest>
 Access At() {
-  return Irregular<ReadField<Path...>, WriteField<Path...>>();
+  Access access =
+      Irregular<ReadField<First, Rest...>, WriteField<First, Rest...>>();
+  access.initial = [](const Row& row) {
+    const decltype(OwnerOf(First)) kDefault{};
+    return Write(row, Walk<First, Rest...>(kDefault));
+  };
+  return access;
 }
 
 // The first `pattern` is the primary; repeats are alternates (typically
@@ -401,6 +409,7 @@ const std::vector<Row>& Table() {
   using NS = ServerNetSpec;
   using PE = PeerSpec;
   using RS = RelaySpec;
+  using PH = PeerHealthSpec;
   constexpr double kPositive = 1;  // durations: at least 1us
   constexpr auto kCompress = CompressionAction::kCompress;
   constexpr auto kDecompress = CompressionAction::kDecompress;
@@ -479,7 +488,7 @@ const std::vector<Row>& Table() {
        {.words = {"interactive", "standard", "bulk"}}},
       {kPlan, "enrich", kIdentList, At<&PS::enrich>(),
        {.words = {"provenance", "checksum"}}},
-      {kServer, "listen", kString, At<&NS::listen>()},
+      {kServer, "listen", kString, At<&NS::listen_address>()},
       {kServer, "max_frame_bytes", kInt, At<&NS::max_frame_bytes>(), {1}},
       {kServer, "outbound_queue_bytes", kInt, At<&NS::outbound_queue_bytes>(),
        {1}},
@@ -494,17 +503,19 @@ const std::vector<Row>& Table() {
        {.words = {"of"}}},
       {kPeer, "replicas", kInt, At<&PE::replicas>(), {1}},
       {kPeer, "failover", kIdent, At<&PE::failover>()},
-      {kPeer, "probe_interval", kDuration, At<&PE::probe_interval>(),
-       {kPositive}},
-      {kPeer, "suspect_after", kInt, At<&PE::suspect_after>(), {1}},
-      {kPeer, "down_after", kInt, At<&PE::down_after>(), {1}},
+      {kPeer, "probe_interval", kDuration,
+       At<&PE::health, &PH::probe_interval>(), {kPositive}},
+      {kPeer, "suspect_after", kInt, At<&PE::health, &PH::suspect_after>(),
+       {1}},
+      {kPeer, "down_after", kInt, At<&PE::health, &PH::down_after>(), {1}},
       {kPeer, "window", kDuration, At<&PE::window>()},
       {kRelay, "children", kIdentList, At<&RS::children>(),
        {.flags = kRequired}},
       {kRelay, "spool", kString, At<&RS::spool>()},
-      {kRelay, "retry_backoff", kDuration, At<&RS::retry_backoff>(),
-       {kPositive}},
-      {kRelay, "max_attempts", kInt, At<&RS::max_attempts>(), {1}},
+      {kRelay, "retry_backoff", kDuration,
+       At<&RS::retry, &RelayRetrySpec::retry_backoff>(), {kPositive}},
+      {kRelay, "max_attempts", kInt,
+       At<&RS::retry, &RelayRetrySpec::max_attempts>(), {1}},
   };
   return kTable;
 }
@@ -674,8 +685,7 @@ class Parser {
       bad = "sets replicas above its shard count";
     } else if (peer.failover == peer.name) {
       bad = "names itself as failover";
-    } else if (peer.suspect_after && peer.down_after &&
-               *peer.down_after < *peer.suspect_after) {
+    } else if (peer.health.down_after < peer.health.suspect_after) {
       bad = "sets down_after below suspect_after";
     }
     if (bad) return c_.ErrAt(line, "peer " + peer.name + " " + bad);
@@ -740,7 +750,10 @@ std::string FormatConfig(const ServerConfig& config) {
 std::vector<ConfigKey> ConfigKeys() {
   std::vector<ConfigKey> keys;
   for (const Row& row : Table()) {
-    keys.push_back({BlockName(row.block), row.key, row.opts.words});
+    const bool has_default =
+        row.access.initial != nullptr && !(row.opts.flags & kRequired);
+    keys.push_back({BlockName(row.block), row.key, row.opts.words,
+                    has_default ? row.access.initial(row) : ""});
   }
   return keys;
 }

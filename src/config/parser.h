@@ -35,12 +35,15 @@ Result<ServerConfig> ParseConfig(std::string_view text);
 std::string FormatConfig(const ServerConfig& config);
 
 /// One key of the language as the parser's key table declares it: its
-/// block, its name, and the fixed words its value may use (enum values
-/// and keywords of its own syntax, such as the "of" in `shard 0 of 2`).
+/// block, its name, the fixed words its value may use (enum values and
+/// keywords of its own syntax, such as the "of" in `shard 0 of 2`), and
+/// its default written as FormatConfig writes values ("" when the key
+/// has none: required, unset or of a syntax of its own).
 struct ConfigKey {
   std::string block;
   std::string key;
   std::vector<std::string> words;
+  std::string default_value;
 };
 
 /// Every key ParseConfig accepts, block by block.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "net/socket_options.h"
 #include "pattern/normalizer.h"
 
 namespace bistro {
@@ -93,9 +94,22 @@ struct GroupSpec {
   Duration window = 0;          // history wanted on subscribe (0 = all)
   /// Consecutive member failures before the relay stops holding the
   /// group ack for that member and moves it to straggler catch-up.
-  std::optional<int> straggler_after;
+  int straggler_after = 3;
 
   bool operator==(const GroupSpec&) const = default;
+};
+
+/// A relay's retry schedule (the `retry_backoff`/`max_attempts` keys of a
+/// `relay { }` block); fanout::RelayNode::Options extends it.
+struct RelayRetrySpec {
+  /// Delay before re-sending to a failed child; grows linearly with the
+  /// per-child attempt count, capped at 10x once a child has failed
+  /// `max_attempts` times (slow-sweep mode — the relay never gives a file
+  /// up while it stays in the history window).
+  Duration retry_backoff = 2 * kSecond;
+  int max_attempts = 8;
+
+  bool operator==(const RelayRetrySpec&) const = default;
 };
 
 /// A dissemination relay (the config's `relay <name> { ... }` block):
@@ -107,129 +121,164 @@ struct GroupSpec {
 struct RelaySpec {
   std::string name;                   // also the relay's endpoint name
   std::vector<std::string> children;  // downstream endpoint identifiers
-  std::string spool;                  // durable spool directory
-  std::optional<Duration> retry_backoff;
-  std::optional<int> max_attempts;
+  std::string spool;  // durable spool directory; empty = caller's choice
+  RelayRetrySpec retry;
 
   bool operator==(const RelaySpec&) const = default;
 };
 
-/// Receipt-store tuning (the config's `receipts { ... }` block). Every
-/// field is optional, mirroring the other tuning blocks.
+// The tuning blocks below are the types their components run on: the
+// config parses straight into them, each field's initializer is the
+// key's one default, and a component whose Options has fields without a
+// config key extends the block's struct with them. FormatConfig omits a
+// field that holds its default. The `server { }` block's ServerNetSpec
+// lives in net/socket_options.h, next to the transport that runs on it.
+
+/// Receipt-store tuning (the config's `receipts { ... }` block).
 struct ReceiptTuningSpec {
   /// Hash-sharded WAL segments: receipt rows partition across this many
   /// independent KvStores, each group commit fsyncing only the shards it
   /// touched. 1 (default) = the seed's single-store layout, bit-compatible.
-  std::optional<int> shards;
-
-  bool empty() const { return *this == ReceiptTuningSpec{}; }
+  /// Always engaged; it stays a std::optional only because the pipebench
+  /// harness reads it with value_or().
+  std::optional<int> shards = 1;
 
   bool operator==(const ReceiptTuningSpec&) const = default;
 };
 
-/// The config's `classifier { ... }` block: which filename-lookup
-/// strategy the server uses (see FeedClassifier::IndexMode).
-struct ClassifierTuningSpec {
-  /// "automaton" (default: the whole feed table compiled into one fused
-  /// DFA), "trie" (literal-prefix index) or "linear" (scan every feed).
-  std::optional<std::string> mode;
+/// Filename-lookup strategy (the config's `classifier { mode; }`). The
+/// enumerators are in the order of the config words.
+enum class IndexMode {
+  kAutomaton,    // "automaton": the feed table compiled into one fused DFA
+  kPrefixIndex,  // "trie": literal-prefix candidate index
+  kLinear,       // "linear": probe every pattern
+};
 
-  bool empty() const { return *this == ClassifierTuningSpec{}; }
+/// The config's `classifier { ... }` block.
+struct ClassifierTuningSpec {
+  IndexMode mode = IndexMode::kAutomaton;
 
   bool operator==(const ClassifierTuningSpec&) const = default;
 };
 
 /// Server-wide delivery/retry tuning (the config's `delivery { ... }`
-/// block). Every field is optional: unset fields keep the engine's
-/// compiled-in defaults, so configs written before a knob existed keep
-/// their exact behavior.
+/// block), read by the DeliveryEngine.
 struct DeliveryTuningSpec {
-  std::optional<Duration> retry_backoff_min;  // key: retry_backoff[_min]
-  std::optional<Duration> retry_backoff_max;
-  std::optional<double> retry_multiplier;
-  std::optional<bool> retry_jitter;           // on/off
-  std::optional<int> max_attempts;
-  std::optional<int> offline_after;
-  std::optional<Duration> probe_interval;
-  /// Pipelined per-subscriber send window (0 = unlimited, 1 = lockstep).
-  std::optional<int> window;
-  /// Coalesce small same-subscriber push files into one frame up to this
-  /// many payload bytes (0 = off).
-  std::optional<int64_t> coalesce_bytes;
-  /// Staged-payload LRU cache byte budget (0 = no retention).
-  std::optional<int64_t> cache_bytes;
-  /// Delivery receipts per group commit (1 = immediate per-ack writes).
-  std::optional<int> receipt_group;
-  /// Max time a buffered delivery receipt waits for its group to fill.
-  std::optional<Duration> receipt_flush_interval;
-
-  bool empty() const { return *this == DeliveryTuningSpec{}; }
+  /// Base (minimum) retry backoff: the floor of the exponential schedule;
+  /// the first retry always waits exactly this long. Key:
+  /// retry_backoff_min (alias retry_backoff).
+  Duration retry_backoff_min = 5 * kSecond;
+  /// Ceiling of the exponential retry schedule.
+  Duration retry_backoff_max = 2 * kMinute;
+  /// Per-retry growth factor of the schedule.
+  double retry_multiplier = 3.0;
+  /// Apply decorrelated jitter: each retry sleeps a uniform draw from
+  /// [base, min(cap, last_sleep * multiplier)] instead of the
+  /// deterministic envelope, de-synchronizing retry storms across jobs.
+  bool retry_jitter = true;
+  /// Max delivery attempts per job per online episode; a job that
+  /// exhausts them moves to the dead-letter queue.
+  int max_attempts = 10;
+  /// Consecutive failures after which a subscriber is flagged offline.
+  int offline_after = 3;
+  /// Cadence of probes to offline subscribers (§4.2 "transmissions are
+  /// periodically retried").
+  Duration probe_interval = 30 * kSecond;
+  /// Pipelined send window: at most this many of one subscriber's jobs
+  /// in flight at once, acks completing out of the event loop instead
+  /// of send→await-ack→next. 0 = unlimited (bounded only by scheduler
+  /// slots, the legacy behavior); 1 = strict lockstep.
+  int window = 0;
+  /// Coalesce small queued push files to the same subscriber into one
+  /// multi-file wire frame while the frame's payload total stays under
+  /// this many bytes. 0 = off (one frame per file, legacy).
+  int64_t coalesce_bytes = 0;
+  /// Byte budget of the staged-payload LRU cache. Payloads are shared
+  /// (zero copies, CRC computed once) across a fan-out regardless;
+  /// the budget controls retention *across* files. 0 disables
+  /// retention — every file is read and CRC'd once per dispatch round
+  /// (the bench_delivery lockstep-baseline ablation).
+  int64_t cache_bytes = 64 << 20;
+  /// Delivery receipts per group commit: completed deliveries buffer
+  /// until the group fills, the engine goes ack-quiescent, or
+  /// receipt_flush_interval elapses — one WAL append + one fsync per
+  /// group. 1 = legacy immediate per-ack receipt writes.
+  int receipt_group = 1;
+  /// Time bound on how long a buffered delivery receipt may wait for
+  /// its group to fill.
+  Duration receipt_flush_interval = 100 * kMillisecond;
 
   bool operator==(const DeliveryTuningSpec&) const = default;
 };
 
-/// Ingest-pipeline tuning (the config's `ingest { ... }` block). Every
-/// field is optional, mirroring DeliveryTuningSpec: unset keys keep the
-/// pipeline's compiled-in defaults.
+/// What the ingest admit stage does when the pipeline's bounded queues
+/// are full (paper §4.1: the server must absorb bursty arrivals without
+/// falling over; INGESTBASE-style staged ingestion makes the policy
+/// explicit). The enumerators are in the order of the config words.
+enum class OverloadPolicy {
+  /// "block": Submit() blocks until space frees: backpressure propagates
+  /// to the depositing source. The default — no file is ever deferred.
+  kBlock,
+  /// "shed_oldest": drop the *oldest* queued file to admit the new one.
+  /// The dropped file's landing copy stays in place, so a later
+  /// landing-zone scan re-admits it; freshest data flows first under
+  /// overload.
+  kShedOldest,
+  /// "spill": park the new file in an in-memory spill queue (journaled
+  /// to disk for operators) and admit it automatically once the queues
+  /// drain. Nothing is dropped, but spilled files may be reordered
+  /// relative to files admitted while they waited.
+  kSpillToDisk,
+};
+
+/// Ingest-pipeline tuning (the config's `ingest { ... }` block);
+/// IngestPipeline::Options extends it.
 struct IngestTuningSpec {
   /// Normalize/compress worker threads. 0 = synchronous inline ingest
   /// (the deterministic default used under simulation).
-  std::optional<int> workers;
-  /// Bound on files queued inside the pipeline before the overload
-  /// policy engages.
-  std::optional<int> queue_depth;
+  int workers = 0;
+  /// Bound on files queued toward the workers before the overload
+  /// policy engages (threaded mode only).
+  int queue_depth = 256;
   /// Max arrival receipts committed per group (one fsync per group).
-  std::optional<int> batch;
-  /// "block", "shed_oldest" or "spill" (validated at parse time).
-  std::optional<std::string> overload_policy;
-
-  bool empty() const { return *this == IngestTuningSpec{}; }
+  int batch = 32;
+  OverloadPolicy overload_policy = OverloadPolicy::kBlock;
 
   bool operator==(const IngestTuningSpec&) const = default;
 };
 
-/// Feed-analyzer tuning (the config's `analyzer { ... }` block). Every
-/// field is optional, mirroring the delivery/ingest blocks: unset keys
-/// keep the daemon's compiled-in defaults.
+/// Feed-analyzer tuning (the config's `analyzer { ... }` block);
+/// AnalyzerDaemon::Options extends it.
 struct AnalyzerTuningSpec {
   /// Worker threads folding/inducing corpus shards. 0 = inline
   /// deterministic analysis (results are identical either way).
-  std::optional<int> workers;
-  /// Retention budget: unmatched names kept for analysis, oldest shed
-  /// first once exceeded (bounds analyzer memory, not correctness).
-  std::optional<int> max_corpus;
+  int workers = 0;
+  /// Retention budget: unmatched names kept in the corpus (and per
+  /// matched-feed sample), oldest shed first once exceeded (bounds
+  /// analyzer memory, not correctness).
+  int max_corpus = 100000;
   /// Stem-keyed corpus shards (the unit of fold/induce parallelism).
-  std::optional<int> shards;
+  int shards = 16;
   /// Analysis cycle cadence.
-  std::optional<Duration> cycle_interval;
-
-  bool empty() const { return *this == AnalyzerTuningSpec{}; }
+  Duration cycle_interval = 10 * kMinute;
 
   bool operator==(const AnalyzerTuningSpec&) const = default;
 };
 
-/// This server's network identity and socket-transport tuning (the
-/// config's `server { ... }` block). Every tuning field is optional,
-/// mirroring the other tuning blocks: unset keys keep the transport's
-/// compiled-in defaults.
-struct ServerNetSpec {
-  /// "ip:port" to accept Bistro-to-Bistro connections on; empty = this
-  /// server does not listen (outbound-only or purely local).
-  std::string listen;
-  /// Bound on a single inbound frame body (bytes).
-  std::optional<int64_t> max_frame_bytes;
-  /// Per-peer outbound queue cap (bytes) before sends fail with
-  /// backpressure.
-  std::optional<int64_t> outbound_queue_bytes;
-  /// Reconnect backoff envelope (decorrelated jitter between them).
-  std::optional<Duration> reconnect_backoff_min;
-  std::optional<Duration> reconnect_backoff_max;
-  /// Unacked sends older than this fail and drop the connection.
-  std::optional<Duration> ack_timeout;
+/// A peer's health state machine tuning (the `probe_interval`,
+/// `suspect_after` and `down_after` keys of a `peer { }` block);
+/// PeerHealthOptions extends it.
+struct PeerHealthSpec {
+  /// Keepalive-probe cadence while the peer is not healthy. Probes are
+  /// kHeartbeat messages, exempt from the circuit breaker, so a down
+  /// peer's recovery is detected even with no real traffic pending.
+  Duration probe_interval = 5 * kSecond;
+  /// Consecutive failures before healthy -> suspect.
+  int suspect_after = 1;
+  /// Consecutive failures before -> down (circuit opens).
+  int down_after = 3;
 
-  bool empty() const { return *this == ServerNetSpec{}; }
-
-  bool operator==(const ServerNetSpec&) const = default;
+  bool operator==(const PeerHealthSpec&) const = default;
 };
 
 /// A downstream Bistro server fed over the socket transport (the
@@ -257,12 +306,8 @@ struct PeerSpec {
   /// feeds re-route to the named peer until this one recovers. Must name
   /// another configured peer.
   std::string failover;
-  /// Health state machine tuning (unset keys keep compiled-in defaults):
-  /// keepalive-probe cadence while unhealthy, consecutive failures before
-  /// healthy -> suspect, and before suspect -> down (circuit opens).
-  std::optional<Duration> probe_interval;
-  std::optional<int> suspect_after;
-  std::optional<int> down_after;
+  /// Health state machine tuning.
+  PeerHealthSpec health;
   /// Backfill window on subscribe (0 = full history), as for subscribers.
   Duration window = 0;
 

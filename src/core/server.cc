@@ -72,52 +72,15 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
         server->plans_->Validate().WithContext("ingestion plans"));
     server->plans_->AttachMetrics(server->metrics_);
   }
-  // Config-file delivery tuning overrides the compiled-in defaults (but
-  // not the other way around: unset keys leave Options untouched).
-  {
-    const DeliveryTuningSpec& tune = config.delivery;
-    DeliveryEngine::Options* d = &server->options_.delivery;
-    if (tune.retry_backoff_min) d->retry_backoff = *tune.retry_backoff_min;
-    if (tune.retry_backoff_max) d->retry_backoff_max = *tune.retry_backoff_max;
-    if (tune.retry_multiplier) {
-      d->retry_backoff_multiplier = *tune.retry_multiplier;
-    }
-    if (tune.retry_jitter) d->retry_jitter = *tune.retry_jitter;
-    if (tune.max_attempts) d->max_attempts = *tune.max_attempts;
-    if (tune.offline_after) d->offline_after_failures = *tune.offline_after;
-    if (tune.probe_interval) d->probe_interval = *tune.probe_interval;
-    if (tune.window) d->window = static_cast<size_t>(*tune.window);
-    if (tune.coalesce_bytes) {
-      d->coalesce_bytes = static_cast<size_t>(*tune.coalesce_bytes);
-    }
-    if (tune.cache_bytes) d->cache_bytes = static_cast<size_t>(*tune.cache_bytes);
-    if (tune.receipt_group) {
-      d->receipt_group = static_cast<size_t>(*tune.receipt_group);
-    }
-    if (tune.receipt_flush_interval) {
-      d->receipt_flush_interval = *tune.receipt_flush_interval;
-    }
-  }
   BISTRO_RETURN_IF_ERROR(fs->MkDirs(server->options_.landing_root));
   BISTRO_RETURN_IF_ERROR(fs->MkDirs(server->options_.staging_root));
-  int shards = server->options_.receipt_shards > 0
-                   ? server->options_.receipt_shards
-                   : config.receipts.shards.value_or(1);
   BISTRO_ASSIGN_OR_RETURN(
       server->receipts_,
       ReceiptDatabase::Open(fs, server->options_.db_dir, server->options_.kv,
-                            shards));
+                            *config.receipts.shards));
   server->receipts_->AttachMetrics(server->metrics_);
-  // Classifier strategy: the compiled feed-table automaton unless the
-  // config's classifier block picks a legacy mode.
-  FeedClassifier::IndexMode classifier_mode =
-      FeedClassifier::IndexMode::kAutomaton;
-  if (config.classifier.mode) {
-    BISTRO_ASSIGN_OR_RETURN(classifier_mode,
-                            IndexModeFromName(*config.classifier.mode));
-  }
   server->classifier_ = std::make_unique<FeedClassifier>(
-      server->registry_.get(), classifier_mode);
+      server->registry_.get(), config.classifier.mode);
   server->classifier_->AttachMetrics(server->metrics_);
   if (scheduler == nullptr) {
     PartitionedScheduler::Options sched_opts;
@@ -125,7 +88,7 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
     // `window` transfers in flight; the default two slots per partition
     // would starve the window before the link does. Scale the partition
     // slot pool so windows, not slots, are the binding concurrency limit.
-    size_t window = server->options_.delivery.window;
+    size_t window = static_cast<size_t>(config.delivery.window);
     if (window > sched_opts.slots_per_partition) {
       sched_opts.slots_per_partition = window * 2;
     }
@@ -138,29 +101,17 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
   AttachCodecMetrics(server->metrics_);
   server->delivery_ = std::make_unique<DeliveryEngine>(
       loop, server->registry_.get(), server->receipts_.get(), fs, transport,
-      scheduler, invoker, logger, server->options_.delivery, server->metrics_,
-      server->tracer_.get());
+      scheduler, invoker, logger, config.delivery, server->options_.engine,
+      server->metrics_, server->tracer_.get());
   if (server->plans_ != nullptr) {
     server->delivery_->AttachPlans(server->plans_.get());
   }
-  // Config-file ingest tuning overrides the compiled-in defaults, same
-  // contract as the delivery block above.
-  {
-    const IngestTuningSpec& tune = config.ingest;
-    IngestPipeline::Options* g = &server->options_.ingest;
-    if (tune.workers) g->workers = *tune.workers;
-    if (tune.queue_depth) g->queue_depth = static_cast<size_t>(*tune.queue_depth);
-    if (tune.batch) g->batch = static_cast<size_t>(*tune.batch);
-    if (tune.overload_policy) {
-      BISTRO_ASSIGN_OR_RETURN(g->overload_policy,
-                              OverloadPolicyFromName(*tune.overload_policy));
-    }
-    g->staging_root = server->options_.staging_root;
-    g->sync_staging = server->options_.sync_staging;
-    g->spill_path = path::Join(server->options_.db_dir, "ingest.spill");
-  }
   server->pipeline_ = std::make_unique<IngestPipeline>(
-      server->options_.ingest, fs, server->classifier_.get(),
+      IngestPipeline::Options{config.ingest, server->options_.staging_root,
+                              server->options_.sync_staging,
+                              path::Join(server->options_.db_dir,
+                                         "ingest.spill")},
+      fs, server->classifier_.get(),
       server->registry_.get(), server->receipts_.get(), loop, logger,
       server->metrics_);
   if (server->plans_ != nullptr) {

@@ -62,17 +62,12 @@ class BistroServer : public Endpoint {
     Duration history_window = 0;
     /// Cadence of the window cleaner and stall checker.
     Duration maintenance_interval = kMinute;
-    DeliveryEngine::Options delivery;
-    /// Ingest-pipeline tuning (workers, queue bound, group-commit batch,
-    /// overload policy). workers == 0 keeps ingest synchronous inline.
-    /// staging_root/sync_staging/spill_path are overwritten from this
-    /// struct's own fields at Create time.
-    IngestPipeline::Options ingest;
-    /// Receipt-database tuning (e.g. sync_wal for crash consistency).
+    /// Delivery-engine settings with no config key (jitter seed,
+    /// pending-pair bound). Every tuning knob — delivery, ingest,
+    /// receipts, classifier — comes from the ServerConfig alone.
+    DeliveryEngine::Options engine;
+    /// Receipt-database durability (e.g. sync_wal for crash consistency).
     KvStore::Options kv;
-    /// Receipt-database shard count. 0 = take the config file's
-    /// `receipts { shards N; }` (default 1). See ReceiptDatabase::Open.
-    int receipt_shards = 0;
     /// fsync each staged file before recording its arrival receipt, so a
     /// receipt never points at bytes a crash can take away. Off by
     /// default; chaos/crash tests and durable deployments enable it.

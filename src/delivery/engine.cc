@@ -14,6 +14,7 @@ DeliveryEngine::DeliveryEngine(EventLoop* loop, FeedRegistry* registry,
                                FileSystem* staging_fs, Transport* transport,
                                DeliveryScheduler* scheduler,
                                TriggerInvoker* invoker, Logger* logger,
+                               const DeliveryTuningSpec& tuning,
                                Options options, MetricsRegistry* metrics,
                                FileTracer* tracer)
     : loop_(loop),
@@ -25,15 +26,16 @@ DeliveryEngine::DeliveryEngine(EventLoop* loop, FeedRegistry* registry,
       scheduler_(scheduler),
       invoker_(invoker),
       logger_(logger),
+      tuning_(tuning),
       options_(options),
-      backoff_rng_(options.backoff_seed),
       tracer_(tracer),
-      payload_cache_(staging_fs, options.cache_bytes) {
+      backoff_rng_(options.backoff_seed),
+      payload_cache_(staging_fs, static_cast<size_t>(tuning.cache_bytes)) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics_.get();
   }
-  scheduler_->SetSubscriberWindow(options_.window);
+  scheduler_->SetSubscriberWindow(static_cast<size_t>(tuning_.window));
   payload_cache_.AttachMetrics(metrics);
   index_.AttachMetrics(metrics);
   jobs_submitted_ = metrics->GetCounter("bistro_delivery_jobs_submitted_total",
@@ -275,7 +277,7 @@ SendCallback DeliveryEngine::DoneCallback(TransferJob job, TimePoint started) {
 
 void DeliveryEngine::DispatchRound(std::vector<TransferJob> round) {
   TimePoint started = loop_->Now();
-  if (options_.coalesce_bytes == 0) {
+  if (tuning_.coalesce_bytes == 0) {
     for (TransferJob& job : round) StartJob(std::move(job));
     return;
   }
@@ -298,16 +300,15 @@ void DeliveryEngine::DispatchRound(std::vector<TransferJob> round) {
       // Greedy frame: take file-data messages while the payload total
       // stays under coalesce_bytes. A file larger than the budget (or a
       // notify/first message) always ships; it just ships alone.
+      const uint64_t budget = static_cast<uint64_t>(tuning_.coalesce_bytes);
       size_t j = i;
       uint64_t frame_bytes = 0;
       while (j < group.size() &&
              group[j].msg.type == MessageType::kFileData &&
-             (j == i ||
-              frame_bytes + group[j].msg.payload.size() <=
-                  options_.coalesce_bytes)) {
+             (j == i || frame_bytes + group[j].msg.payload.size() <= budget)) {
         frame_bytes += group[j].msg.payload.size();
         ++j;
-        if (frame_bytes >= options_.coalesce_bytes) break;
+        if (frame_bytes >= budget) break;
       }
       if (j == i) j = i + 1;  // non-coalescible message ships alone
       if (j - i > 1) {
@@ -366,7 +367,7 @@ void DeliveryEngine::OnJobDone(TransferJob job, TimePoint started,
 
 void DeliveryEngine::RecordDeliveryReceipt(const TransferJob& job,
                                            TimePoint now) {
-  if (options_.receipt_group <= 1) {
+  if (tuning_.receipt_group <= 1) {
     // Legacy mode: one durable receipt write per ack.
     Status rec = receipts_->RecordDelivery(job.subscriber, job.file_id, now);
     if (!rec.ok()) {
@@ -388,12 +389,12 @@ void DeliveryEngine::RecordDeliveryReceipt(const TransferJob& job,
   // the subscriber's FileId dedupe absorbs the repeats.
   receipt_buffer_.push_back({job.subscriber, job.file_id, now});
   receipt_buffer_gauge_->Set(static_cast<int64_t>(receipt_buffer_.size()));
-  if (receipt_buffer_.size() >= options_.receipt_group ||
+  if (receipt_buffer_.size() >= static_cast<size_t>(tuning_.receipt_group) ||
       scheduler_->in_flight() == 0) {
     FlushDeliveryReceipts();
   } else if (!receipt_flush_timer_armed_) {
     receipt_flush_timer_armed_ = true;
-    loop_->PostAfter(options_.receipt_flush_interval, Guard([this] {
+    loop_->PostAfter(tuning_.receipt_flush_interval, Guard([this] {
                        receipt_flush_timer_armed_ = false;
                        FlushDeliveryReceipts();
                      }));
@@ -423,7 +424,7 @@ void DeliveryEngine::FlushDeliveryReceipts() {
 
 void DeliveryEngine::RetryDeliveryReceipt(const SubscriberName& sub,
                                           FileId file_id, TimePoint when) {
-  loop_->PostAfter(options_.retry_backoff,
+  loop_->PostAfter(tuning_.retry_backoff_min,
                    Guard([this, sub, file_id, when] {
                      Status rec = receipts_->RecordDelivery(sub, file_id, when);
                      if (!rec.ok()) RetryDeliveryReceipt(sub, file_id, when);
@@ -434,14 +435,14 @@ void DeliveryEngine::HandleFailure(TransferJob job) {
   send_failures_->Increment();
   const SubscriberName sub = job.subscriber;
   if (scheduler_->tracker()->ConsecutiveFailures(sub) >=
-          options_.offline_after_failures &&
+          tuning_.offline_after &&
       offline_.count(sub) == 0) {
     offline_.insert(sub);
     offline_transitions_->Increment();
     logger_->Warning("delivery",
                      "subscriber flagged offline after repeated failures: " + sub);
     ErasePending({job.file_id, sub});
-    loop_->PostAfter(options_.probe_interval,
+    loop_->PostAfter(tuning_.probe_interval,
                      Guard([this, sub] { ProbeOffline(sub); }));
     return;
   }
@@ -451,7 +452,7 @@ void DeliveryEngine::HandleFailure(TransferJob job) {
     return;
   }
   job.attempts++;
-  if (job.attempts >= options_.max_attempts) {
+  if (job.attempts >= tuning_.max_attempts) {
     logger_->Error(
         "delivery",
         StrFormat("dead-lettering file %llu to %s after %d attempts",
@@ -470,18 +471,18 @@ void DeliveryEngine::HandleFailure(TransferJob job) {
 }
 
 Duration DeliveryEngine::NextBackoff(TransferJob* job) {
-  const Duration base = std::max<Duration>(options_.retry_backoff, 1);
-  const Duration cap = std::max<Duration>(options_.retry_backoff_max, base);
+  const Duration base = std::max<Duration>(tuning_.retry_backoff_min, 1);
+  const Duration cap = std::max<Duration>(tuning_.retry_backoff_max, base);
   Duration next;
   if (job->last_backoff <= 0) {
     next = base;  // first retry always waits exactly the base
   } else {
     double grown = static_cast<double>(job->last_backoff) *
-                   std::max(options_.retry_backoff_multiplier, 1.0);
+                   std::max(tuning_.retry_multiplier, 1.0);
     next = grown >= static_cast<double>(cap) ? cap
                                              : static_cast<Duration>(grown);
   }
-  if (options_.retry_jitter && next > base) {
+  if (tuning_.retry_jitter && next > base) {
     // Decorrelated jitter (next grows from the previous *draw*, not the
     // deterministic envelope): uniform in [base, next].
     next = base + static_cast<Duration>(backoff_rng_.Uniform(
@@ -528,7 +529,7 @@ void DeliveryEngine::ProbeOffline(const SubscriberName& sub_name) {
           logger_->Info("delivery", "subscriber back online: " + sub_name);
           Backfill(sub_name);
         } else {
-          loop_->PostAfter(options_.probe_interval,
+          loop_->PostAfter(tuning_.probe_interval,
                            Guard([this, sub_name] { ProbeOffline(sub_name); }));
         }
       });
@@ -638,7 +639,7 @@ void DeliveryEngine::SetOffline(const SubscriberName& subscriber,
   if (offline) {
     if (offline_.insert(subscriber).second) {
       offline_transitions_->Increment();
-      loop_->PostAfter(options_.probe_interval,
+      loop_->PostAfter(tuning_.probe_interval,
                        Guard([this, subscriber] { ProbeOffline(subscriber); }));
     }
   } else if (offline_.erase(subscriber) != 0) {

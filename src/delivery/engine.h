@@ -61,59 +61,18 @@ struct DeliveryStats {
 /// subsystem deterministic under simulated time.
 class DeliveryEngine {
  public:
+  /// Engine settings with no config key. The tuning knobs come from the
+  /// config's `delivery { }` block (DeliveryTuningSpec).
   struct Options {
     Options() {}
-    /// Consecutive failures after which a subscriber is flagged offline.
-    int offline_after_failures = 3;
-    /// Base (minimum) retry backoff. This used to be a fixed delay; it is
-    /// now the floor of the exponential schedule, and the first retry
-    /// always waits exactly this long.
-    Duration retry_backoff = 5 * kSecond;
-    /// Ceiling of the exponential retry schedule.
-    Duration retry_backoff_max = 2 * kMinute;
-    /// Per-retry growth factor of the schedule.
-    double retry_backoff_multiplier = 3.0;
-    /// Apply decorrelated jitter: each retry sleeps a uniform draw from
-    /// [base, min(cap, last_sleep * multiplier)] instead of the
-    /// deterministic envelope, de-synchronizing retry storms across jobs.
-    bool retry_jitter = true;
-    /// Seed for the jitter Rng (determinism under simulation).
+    /// Seed for the retry-jitter Rng (determinism under simulation).
     uint64_t backoff_seed = 0x42;
-    /// Cadence of probes to offline subscribers (§4.2 "transmissions are
-    /// periodically retried").
-    Duration probe_interval = 30 * kSecond;
-    /// Max delivery attempts per job per online episode; a job that
-    /// exhausts them moves to the dead-letter queue.
-    int max_attempts = 10;
     /// Bound on the (file, subscriber) pending-dedupe set. Above it, the
     /// oldest tracked pair is forgotten: a later backfill may then
     /// resubmit that delivery, which the delivery receipt check and the
     /// endpoint's dedupe absorb — memory stays bounded, exactly-once is
     /// preserved, only a wasted duplicate submit is possible.
     size_t max_pending_pairs = 1 << 20;
-    /// Pipelined send window: at most this many of one subscriber's jobs
-    /// in flight at once, acks completing out of the event loop instead
-    /// of send→await-ack→next. 0 = unlimited (bounded only by scheduler
-    /// slots, the legacy behavior); 1 = strict lockstep.
-    size_t window = 0;
-    /// Coalesce small queued push files to the same subscriber into one
-    /// multi-file wire frame while the frame's payload total stays under
-    /// this many bytes. 0 = off (one frame per file, legacy).
-    size_t coalesce_bytes = 0;
-    /// Byte budget of the staged-payload LRU cache. Payloads are shared
-    /// (zero copies, CRC computed once) across a fan-out regardless;
-    /// the budget controls retention *across* files. 0 disables
-    /// retention — every file is read and CRC'd once per dispatch round
-    /// (the bench_delivery lockstep-baseline ablation).
-    size_t cache_bytes = 64u << 20;
-    /// Delivery receipts per group commit: completed deliveries buffer
-    /// until the group fills, the engine goes ack-quiescent, or
-    /// receipt_flush_interval elapses — one WAL append + one fsync per
-    /// group. 1 = legacy immediate per-ack receipt writes.
-    size_t receipt_group = 1;
-    /// Time bound on how long a buffered delivery receipt may wait for
-    /// its group to fill.
-    Duration receipt_flush_interval = 100 * kMillisecond;
   };
 
   /// `metrics` may be null (the engine then owns a private registry so
@@ -123,7 +82,7 @@ class DeliveryEngine {
                  ReceiptDatabase* receipts, FileSystem* staging_fs,
                  Transport* transport, DeliveryScheduler* scheduler,
                  TriggerInvoker* invoker, Logger* logger,
-                 Options options = Options(),
+                 const DeliveryTuningSpec& tuning, Options options = Options(),
                  MetricsRegistry* metrics = nullptr,
                  FileTracer* tracer = nullptr);
 
@@ -243,6 +202,7 @@ class DeliveryEngine {
   DeliveryScheduler* scheduler_;
   TriggerInvoker* invoker_;
   Logger* logger_;
+  DeliveryTuningSpec tuning_;
   Options options_;
   PlanRuntime* plans_ = nullptr;  // optional; see AttachPlans
 

@@ -147,8 +147,8 @@ Status GroupManager::Wire(const std::vector<GroupSpec>& groups,
                           const MemberResolver& resolve,
                           const EndpointRegistrar& register_endpoint) {
   for (const GroupSpec& spec : groups) {
-    int after = spec.straggler_after.value_or(options_.straggler_after);
-    auto relay = std::make_unique<GroupRelay>(spec.name, after, logger_);
+    auto relay =
+        std::make_unique<GroupRelay>(spec.name, spec.straggler_after, logger_);
     for (const std::string& member : spec.members) {
       Endpoint* target = resolve(member);
       if (target == nullptr) {

@@ -123,8 +123,6 @@ class GroupManager {
  public:
   struct Options {
     Options() {}
-    /// Default for groups whose spec omits straggler_after.
-    int straggler_after = 3;
     /// Cadence of the straggler catch-up timer (0 = manual CatchUp only).
     Duration catchup_interval = 30 * kSecond;
   };

@@ -36,16 +36,13 @@ namespace fanout {
 /// the same argument the engine's retry path already relies on.
 class RelayNode : public Endpoint {
  public:
-  struct Options {
-    Options() {}
+  /// The `relay { }` block's retry schedule plus the spool the caller
+  /// places.
+  struct Options : RelayRetrySpec {
+    explicit Options(const RelayRetrySpec& retry = {})
+        : RelayRetrySpec(retry) {}
     /// Spool directory (a KvStore root).
     std::string spool_dir = "/bistro/relay";
-    /// Delay before re-sending to a failed child; grows linearly with
-    /// the per-child attempt count, capped at 10x once a child has
-    /// failed `max_attempts` times (slow-sweep mode — the relay never
-    /// gives a file up while it stays in the history window).
-    Duration retry_backoff = 2 * kSecond;
-    int max_attempts = 8;
     KvStore::Options kv;
   };
 

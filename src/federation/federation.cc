@@ -112,28 +112,6 @@ std::vector<FeedName> PeerFeeds(const ServerConfig& config,
   return out;
 }
 
-SocketTransport::Options SocketOptionsFromSpec(const ServerNetSpec& spec,
-                                               uint64_t backoff_seed) {
-  SocketTransport::Options options;
-  options.listen_address = spec.listen;
-  if (spec.max_frame_bytes) {
-    options.max_frame_bytes = static_cast<size_t>(*spec.max_frame_bytes);
-  }
-  if (spec.outbound_queue_bytes) {
-    options.outbound_queue_bytes =
-        static_cast<size_t>(*spec.outbound_queue_bytes);
-  }
-  if (spec.reconnect_backoff_min) {
-    options.reconnect_backoff_min = *spec.reconnect_backoff_min;
-  }
-  if (spec.reconnect_backoff_max) {
-    options.reconnect_backoff_max = *spec.reconnect_backoff_max;
-  }
-  if (spec.ack_timeout) options.ack_timeout = *spec.ack_timeout;
-  options.backoff_seed = backoff_seed;
-  return options;
-}
-
 Status WirePeers(const ServerConfig& config, BistroServer* server,
                  SocketTransport* transport, Logger* logger) {
   for (const PeerSpec& peer : config.peers) {

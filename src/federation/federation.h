@@ -76,10 +76,6 @@ bool FeedInShard(const FeedName& feed, int index, int count);
 std::vector<FeedName> PeerFeeds(const ServerConfig& config,
                                 const PeerSpec& peer);
 
-/// SocketTransport options derived from a parsed `server { ... }` block.
-SocketTransport::Options SocketOptionsFromSpec(const ServerNetSpec& spec,
-                                               uint64_t backoff_seed = 1);
-
 /// Upstream wiring: declares every configured peer on the transport and
 /// registers it as a push subscriber (name == host == peer name) so the
 /// ordinary delivery engine — receipts, retries, send windows,

@@ -252,11 +252,7 @@ Status FederationRuntime::Start(const ServerConfig& config) {
     std::vector<FeedName> feeds = PeerFeeds(config, peer);
     base_feeds_[peer.name] = feeds;
     windows_[peer.name] = peer.window;
-    PeerHealthOptions opts;
-    if (peer.probe_interval) opts.probe_interval = *peer.probe_interval;
-    if (peer.suspect_after) opts.suspect_after = *peer.suspect_after;
-    if (peer.down_after) opts.down_after = *peer.down_after;
-    tracker_.Track(peer.name, opts);
+    tracker_.Track(peer.name, {peer.health});
     if (!peer.failover.empty()) {
       routes_[peer.name] = Route{std::move(feeds), peer.failover, false};
     }

@@ -34,16 +34,9 @@ enum class PeerHealth {
 
 std::string_view PeerHealthName(PeerHealth health);
 
-/// Tuning for one tracked peer (config keys under `peer { ... }`).
-struct PeerHealthOptions {
-  /// Keepalive-probe cadence while the peer is not healthy. Probes are
-  /// kHeartbeat messages, exempt from the circuit breaker, so a down
-  /// peer's recovery is detected even with no real traffic pending.
-  Duration probe_interval = 5 * kSecond;
-  /// Consecutive failures before healthy -> suspect.
-  int suspect_after = 1;
-  /// Consecutive failures before -> down (circuit opens).
-  int down_after = 3;
+/// Tuning for one tracked peer: the `peer { }` block's health keys plus
+/// the one knob without a key.
+struct PeerHealthOptions : PeerHealthSpec {
   /// Ack successes required to leave probation for healthy.
   int probation_successes = 2;
 };

@@ -8,26 +8,6 @@
 
 namespace bistro {
 
-std::string_view OverloadPolicyName(OverloadPolicy policy) {
-  switch (policy) {
-    case OverloadPolicy::kBlock:
-      return "block";
-    case OverloadPolicy::kShedOldest:
-      return "shed_oldest";
-    case OverloadPolicy::kSpillToDisk:
-      return "spill";
-  }
-  return "block";
-}
-
-Result<OverloadPolicy> OverloadPolicyFromName(std::string_view name) {
-  if (name == "block") return OverloadPolicy::kBlock;
-  if (name == "shed_oldest") return OverloadPolicy::kShedOldest;
-  if (name == "spill") return OverloadPolicy::kSpillToDisk;
-  return Status::InvalidArgument("unknown overload policy: " +
-                                 std::string(name));
-}
-
 IngestPipeline::IngestPipeline(Options options, FileSystem* fs,
                                FeedClassifier* classifier,
                                const FeedRegistry* registry,
@@ -41,9 +21,9 @@ IngestPipeline::IngestPipeline(Options options, FileSystem* fs,
       loop_(loop),
       clock_(loop->clock()),
       logger_(logger) {
-  if (options_.workers < 0) options_.workers = 0;
-  if (options_.queue_depth == 0) options_.queue_depth = 1;
-  if (options_.batch == 0) options_.batch = 1;
+  options_.workers = std::max(options_.workers, 0);
+  options_.queue_depth = std::max(options_.queue_depth, 1);
+  options_.batch = std::max(options_.batch, 1);
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -201,12 +181,12 @@ bool IngestPipeline::AdmitByPlan(const IncomingFile& file, Classification* c) {
 Status IngestPipeline::Admit(Item item) {
   std::unique_lock<std::mutex> lock(mu_);
   if (shutdown_) return Status::Unavailable("ingest pipeline shut down");
-  if (queued_total_ >= options_.queue_depth) {
+  if (queued_total_ >= QueueDepth()) {
     switch (options_.overload_policy) {
       case OverloadPolicy::kBlock: {
         blocked_->Increment();
         space_cv_.wait(lock, [this] {
-          return shutdown_ || queued_total_ < options_.queue_depth;
+          return shutdown_ || queued_total_ < QueueDepth();
         });
         if (shutdown_) return Status::Unavailable("ingest pipeline shut down");
         break;
@@ -263,7 +243,7 @@ Status IngestPipeline::Admit(Item item) {
 }
 
 void IngestPipeline::DrainSpillLocked() {
-  while (!spill_.empty() && queued_total_ < options_.queue_depth) {
+  while (!spill_.empty() && queued_total_ < QueueDepth()) {
     Item item = std::move(spill_.front());
     spill_.pop_front();
     item.seq = next_seq_++;
@@ -298,7 +278,7 @@ void IngestPipeline::WorkerLoop(size_t shard_index) {
     if (staged.ok()) {
       lock.lock();
       receipt_space_cv_.wait(lock, [this] {
-        return shutdown_ || receipt_q_.size() < options_.queue_depth;
+        return shutdown_ || receipt_q_.size() < QueueDepth();
       });
       // Push even during shutdown: the item is staged, so committing its
       // receipt is strictly better than redoing the work after restart.
@@ -371,7 +351,8 @@ void IngestPipeline::ReceiptLoop() {
     });
     if (receipt_q_.empty()) break;  // shutdown and workers are done
     std::vector<Item> group;
-    size_t n = std::min(options_.batch, receipt_q_.size());
+    size_t n =
+        std::min(static_cast<size_t>(options_.batch), receipt_q_.size());
     group.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       group.push_back(std::move(receipt_q_.front()));

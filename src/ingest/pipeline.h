@@ -25,27 +25,6 @@ namespace bistro {
 
 class PlanRuntime;
 
-/// What the admit stage does when the pipeline's bounded queues are full
-/// (paper §4.1: the server must absorb bursty arrivals without falling
-/// over; INGESTBASE-style staged ingestion makes the policy explicit).
-enum class OverloadPolicy {
-  /// Submit() blocks until space frees: backpressure propagates to the
-  /// depositing source. The default — no file is ever deferred.
-  kBlock,
-  /// Drop the *oldest* queued file to admit the new one. The dropped
-  /// file's landing copy stays in place, so a later landing-zone scan
-  /// re-admits it; freshest data flows first under overload.
-  kShedOldest,
-  /// Park the new file in an in-memory spill queue (journaled to disk
-  /// for operators) and admit it automatically once the queues drain.
-  /// Nothing is dropped, but spilled files may be reordered relative to
-  /// files admitted while they waited.
-  kSpillToDisk,
-};
-
-std::string_view OverloadPolicyName(OverloadPolicy policy);
-Result<OverloadPolicy> OverloadPolicyFromName(std::string_view name);
-
 /// By-value snapshot of the pipeline's counters and queue depths.
 struct IngestStats {
   uint64_t admitted = 0;
@@ -91,17 +70,9 @@ struct IngestStats {
 /// recomputes delivery queues from receipts.
 class IngestPipeline {
  public:
-  struct Options {
-    Options() {}
-    /// Normalize/compress worker threads; 0 = synchronous inline mode.
-    int workers = 0;
-    /// Bound on files queued toward the workers before the overload
-    /// policy engages (threaded mode only).
-    size_t queue_depth = 256;
-    /// Max arrival receipts per group commit.
-    size_t batch = 32;
-    OverloadPolicy overload_policy = OverloadPolicy::kBlock;
-    /// Staging layout + durability (copied from the server's options).
+  /// The config's `ingest { }` tuning plus the paths the server computes.
+  struct Options : IngestTuningSpec {
+    /// Staging layout + durability (the server's own options).
     std::string staging_root = "/bistro/staging";
     bool sync_staging = false;
     /// Operator-visible journal of spilled files (kSpillToDisk).
@@ -182,6 +153,10 @@ class IngestPipeline {
   IngestStats stats() const;
 
  private:
+  size_t QueueDepth() const {
+    return static_cast<size_t>(options_.queue_depth);
+  }
+
   struct Item {
     IncomingFile file;
     uint64_t seq = 0;  // admission order, for shed-oldest

@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "core/types.h"
+#include "net/socket_options.h"
 
 namespace bistro {
 
@@ -110,11 +111,6 @@ struct Message {
 
   bool operator==(const Message&) const = default;
 };
-
-/// Default bound on a decoded message body (and on stream-decoder
-/// buffering). Frames from untrusted sockets claiming more than this are
-/// rejected as corrupt before any allocation happens.
-inline constexpr size_t kDefaultMaxFrameBytes = 64u << 20;
 
 /// Serializes a message to a CRC-framed binary blob.
 std::string EncodeMessage(const Message& msg);

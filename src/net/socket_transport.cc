@@ -238,7 +238,8 @@ void SocketTransport::Send(const std::string& endpoint, const Message& msg,
   Message framed = msg;  // cheap: payload bytes are shared
   framed.net_seq = peer.next_seq++;
   std::string frame = EncodeMessage(framed);
-  if (conn->outq_bytes + frame.size() > options_.outbound_queue_bytes) {
+  if (conn->outq_bytes + frame.size() >
+      static_cast<size_t>(options_.outbound_queue_bytes)) {
     if (m_queue_rejects_ != nullptr) m_queue_rejects_->Increment();
     FailCallback(done,
                  Status::Unavailable("outbound queue full: " + endpoint));
@@ -291,7 +292,8 @@ void SocketTransport::SendBundle(const std::string& endpoint,
     burst += EncodeMessage(framed);
     seqs.emplace_back(framed.net_seq, std::move(item.done));
   }
-  if (conn->outq_bytes + burst.size() > options_.outbound_queue_bytes) {
+  if (conn->outq_bytes + burst.size() >
+      static_cast<size_t>(options_.outbound_queue_bytes)) {
     if (m_queue_rejects_ != nullptr) m_queue_rejects_->Increment();
     peer.next_seq = first_seq;  // nothing went on the wire
     Status s = Status::Unavailable("outbound queue full: " + endpoint);

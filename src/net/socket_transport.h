@@ -50,24 +50,8 @@ namespace bistro {
 /// peer resolves to the local endpoint.
 class SocketTransport : public Transport {
  public:
-  struct Options {
-    /// "ip:port" to accept peer connections on ("127.0.0.1:4400",
-    /// "0.0.0.0:4400", "localhost:0"); empty = outbound-only transport.
-    /// Port 0 binds an ephemeral port (see listen_port()).
-    std::string listen_address;
-    /// Per-frame body bound enforced on inbound bytes (see
-    /// kDefaultMaxFrameBytes); oversized claims drop the connection.
-    size_t max_frame_bytes = kDefaultMaxFrameBytes;
-    /// Cap on bytes queued toward one peer; sends over the cap fail
-    /// immediately with Unavailable (backpressure surfaces to the
-    /// delivery engine instead of buffering without bound).
-    size_t outbound_queue_bytes = 64u << 20;
-    /// Reconnect backoff envelope (decorrelated jitter between them).
-    Duration reconnect_backoff_min = 200 * kMillisecond;
-    Duration reconnect_backoff_max = 10 * kSecond;
-    /// A send unacknowledged for this long fails (Unavailable) and drops
-    /// the connection, which also catches half-open peers.
-    Duration ack_timeout = 30 * kSecond;
+  /// The config's `server { }` block plus the jitter seed.
+  struct Options : ServerNetSpec {
     /// Seed for the reconnect jitter RNG.
     uint64_t backoff_seed = 1;
   };

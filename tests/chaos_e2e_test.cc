@@ -116,11 +116,11 @@ subscriber sub2 { feeds FEEDB; method push; }
   opts.kv.sync_wal = true;
   opts.sync_staging = true;
   opts.metrics = &registry;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.probe_interval = 20 * kSecond;
-  opts.delivery.max_attempts = 100000;  // chaos must not drop files
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
+  config->delivery.retry_backoff_min = 2 * kSecond;
+  config->delivery.retry_backoff_max = 30 * kSecond;
+  config->delivery.probe_interval = 20 * kSecond;
+  config->delivery.max_attempts = 100000;  // chaos must not drop files
+  opts.engine.backoff_seed = static_cast<uint64_t>(seed) + 1;
 
   std::unique_ptr<BistroServer> server;
   auto boot = [&]() {
@@ -303,15 +303,15 @@ subscriber sub2 { feeds FEEDB; method push; }
   opts.kv.sync_wal = true;
   opts.sync_staging = true;
   opts.metrics = &registry;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.probe_interval = 20 * kSecond;
-  opts.delivery.max_attempts = 100000;
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
-  opts.ingest.workers = 3;
-  opts.ingest.queue_depth = 64;
-  opts.ingest.batch = 8;
-  opts.ingest.overload_policy = OverloadPolicy::kBlock;
+  config->delivery.retry_backoff_min = 2 * kSecond;
+  config->delivery.retry_backoff_max = 30 * kSecond;
+  config->delivery.probe_interval = 20 * kSecond;
+  config->delivery.max_attempts = 100000;
+  opts.engine.backoff_seed = static_cast<uint64_t>(seed) + 1;
+  config->ingest.workers = 3;
+  config->ingest.queue_depth = 64;
+  config->ingest.batch = 8;
+  config->ingest.overload_policy = OverloadPolicy::kBlock;
 
   std::unique_ptr<BistroServer> server;
   auto boot = [&]() {
@@ -504,16 +504,16 @@ subscriber sub2 { feeds FEEDB; method push; }
   opts.kv.sync_wal = true;
   opts.sync_staging = true;
   opts.metrics = &registry;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.probe_interval = 20 * kSecond;
-  opts.delivery.max_attempts = 100000;
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
+  config->delivery.retry_backoff_min = 2 * kSecond;
+  config->delivery.retry_backoff_max = 30 * kSecond;
+  config->delivery.probe_interval = 20 * kSecond;
+  config->delivery.max_attempts = 100000;
+  opts.engine.backoff_seed = static_cast<uint64_t>(seed) + 1;
   // The fan-out fast path under test:
-  opts.delivery.window = 4;
-  opts.delivery.coalesce_bytes = 4096;
-  opts.delivery.receipt_group = 8;
-  opts.delivery.receipt_flush_interval = 200 * kMillisecond;
+  config->delivery.window = 4;
+  config->delivery.coalesce_bytes = 4096;
+  config->delivery.receipt_group = 8;
+  config->delivery.receipt_flush_interval = 200 * kMillisecond;
 
   std::unique_ptr<BistroServer> server;
   auto boot = [&]() {
@@ -739,11 +739,11 @@ receipts { shards 4; }
   opts.kv.sync_wal = true;
   opts.sync_staging = true;
   opts.metrics = &registry;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.probe_interval = 20 * kSecond;
-  opts.delivery.max_attempts = 100000;
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
+  config->delivery.retry_backoff_min = 2 * kSecond;
+  config->delivery.retry_backoff_max = 30 * kSecond;
+  config->delivery.probe_interval = 20 * kSecond;
+  config->delivery.max_attempts = 100000;
+  opts.engine.backoff_seed = static_cast<uint64_t>(seed) + 1;
 
   std::unique_ptr<BistroServer> server;
   std::unique_ptr<fanout::RelayNode> relay;

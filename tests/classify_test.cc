@@ -248,14 +248,16 @@ TEST(ClassifierTest, LongDigitRunsReverifyAgainstExactMatcher) {
 }
 
 TEST(ClassifierTest, IndexModeNamesRoundTrip) {
+  // IndexModeName writes the word `classifier { mode; }` reads back.
   for (auto mode : {FeedClassifier::IndexMode::kLinear,
                     FeedClassifier::IndexMode::kPrefixIndex,
                     FeedClassifier::IndexMode::kAutomaton}) {
-    auto parsed = IndexModeFromName(IndexModeName(mode));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, mode);
+    auto parsed = ParseConfig("classifier { mode " +
+                              std::string(IndexModeName(mode)) + "; }");
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->classifier.mode, mode);
   }
-  EXPECT_FALSE(IndexModeFromName("bogus").ok());
+  EXPECT_FALSE(ParseConfig("classifier { mode bogus; }").ok());
 }
 
 TEST(ClassifierTest, AutomatonStatsAreExposed) {

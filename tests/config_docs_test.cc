@@ -2,9 +2,12 @@
 // in docs/ must parse with the real config parser, every ```bistro-fault
 // snippet with the real fault-plan parser, configs/example.conf must load
 // and round-trip, and OPERATIONS.md must mention every key the parser
-// accepts — so neither the docs nor the example can silently rot.
+// accepts and quote each key's compiled default — so neither the docs
+// nor the example can silently rot.
 
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -162,6 +165,80 @@ TEST(ConfigDocsTest, OperationsCoversEveryParserKey) {
   for (const char* key : kFaultKeys) {
     EXPECT_NE(doc.find(key), std::string::npos)
         << "docs/OPERATIONS.md never mentions fault-plan key '" << key << "'";
+  }
+}
+
+// The `| key | type | default | meaning |` rows of OPERATIONS.md, per
+// block: a `#` section whose heading names a block in code ("`delivery {",
+// "`peer <name>") owns the key tables that follow it. Maps block -> key
+// -> the row's default cell.
+std::map<std::string, std::map<std::string, std::string>> DocumentedDefaults(
+    const std::string& doc) {
+  std::map<std::string, std::map<std::string, std::string>> out;
+  std::istringstream in(doc);
+  std::string line, block;
+  while (std::getline(in, line)) {
+    if (line.rfind("#", 0) == 0) {
+      block.clear();
+      size_t tick = line.find('`');
+      if (tick != std::string::npos) {
+        size_t end = line.find_first_of(" `", tick + 1);
+        block = line.substr(tick + 1, end - tick - 1);
+      }
+    } else if (!block.empty() && line.rfind("| `", 0) == 0) {
+      // | `key` | type | default | meaning |
+      std::vector<std::string> cells;
+      std::istringstream row(line.substr(1));
+      std::string cell;
+      while (std::getline(row, cell, '|')) cells.push_back(cell);
+      if (cells.size() < 3) continue;
+      size_t open = cells[0].find('`');
+      size_t close = cells[0].find('`', open + 1);
+      out[block][cells[0].substr(open + 1, close - open - 1)] = cells[2];
+    }
+  }
+  return out;
+}
+
+// Each key has exactly one default, written once in its spec.h struct;
+// the key table reports it, and the operator reference must quote that
+// literal — the first `code` span of the key's default cell.
+TEST(ConfigDocsTest, OperationsDefaultsMatchCompiledDefaults) {
+  const auto documented =
+      DocumentedDefaults(ReadFileOrDie(DocPath("docs/OPERATIONS.md")));
+  // Defaults a caller computes: bistrod places a relay's spool under its
+  // root, and `--listen` overrides the server's listen address.
+  const std::set<std::string> kComputed = {"relay.spool", "server.listen"};
+  std::set<std::string> checked_blocks;
+  for (const ConfigKey& key : ConfigKeys()) {
+    const std::string name = key.block + "." + key.key;
+    auto block = documented.find(key.block);
+    if (key.default_value.empty() || kComputed.count(name) ||
+        block == documented.end()) {
+      continue;
+    }
+    checked_blocks.insert(key.block);
+    auto row = block->second.find(key.key);
+    if (row == block->second.end()) {
+      ADD_FAILURE() << "docs/OPERATIONS.md has no table row for " << name;
+      continue;
+    }
+    const std::string& cell = row->second;
+    size_t open = cell.find('`');
+    size_t close = open == std::string::npos ? open : cell.find('`', open + 1);
+    std::string literal = close == std::string::npos
+                              ? cell
+                              : cell.substr(open + 1, close - open - 1);
+    EXPECT_EQ(literal, key.default_value)
+        << "docs/OPERATIONS.md documents the default of " << name << " as "
+        << cell << "; the parser's default is " << key.default_value;
+  }
+  // Every tuning block has its own section with a key table.
+  for (const char* block : {"delivery", "ingest", "analyzer", "receipts",
+                            "classifier", "server", "peer", "relay",
+                            "group"}) {
+    EXPECT_TRUE(checked_blocks.count(block))
+        << "no default of block '" << block << "' was checked";
   }
 }
 

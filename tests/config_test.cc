@@ -275,12 +275,13 @@ analyzer {
   EXPECT_EQ(a.max_corpus, 50000);
   EXPECT_EQ(a.shards, 8);
   EXPECT_EQ(a.cycle_interval, 5 * kMinute);
-  // Unset keys stay unset (the engine keeps its compiled-in defaults).
+  // Unset keys hold their one default; a key set to its default is the
+  // same config as one that leaves it out.
   auto partial = ParseConfig("analyzer { workers 0; }");
   ASSERT_TRUE(partial.ok()) << partial.status();
   EXPECT_EQ(partial->analyzer.workers, 0);
-  EXPECT_FALSE(partial->analyzer.max_corpus.has_value());
-  EXPECT_FALSE(partial->analyzer.empty());
+  EXPECT_EQ(partial->analyzer.max_corpus, 100000);
+  EXPECT_EQ(partial->analyzer, AnalyzerTuningSpec{});
 }
 
 TEST(ConfigParseTest, AnalyzerBlockRejectsBadValues) {
@@ -306,17 +307,17 @@ server {
 )");
   ASSERT_TRUE(config.ok()) << config.status();
   const ServerNetSpec& s = config->server;
-  EXPECT_EQ(s.listen, "0.0.0.0:4400");
+  EXPECT_EQ(s.listen_address, "0.0.0.0:4400");
   EXPECT_EQ(s.max_frame_bytes, 8388608);
   EXPECT_EQ(s.outbound_queue_bytes, 33554432);
   EXPECT_EQ(s.reconnect_backoff_min, 100 * kMillisecond);
   EXPECT_EQ(s.reconnect_backoff_max, 5 * kSecond);
   EXPECT_EQ(s.ack_timeout, 20 * kSecond);
-  // Unset tuning keys stay unset (transport keeps compiled-in defaults).
+  // Unset tuning keys hold the transport's defaults.
   auto partial = ParseConfig(R"(server { listen "127.0.0.1:0"; })");
   ASSERT_TRUE(partial.ok()) << partial.status();
-  EXPECT_FALSE(partial->server.max_frame_bytes.has_value());
-  EXPECT_FALSE(partial->server.empty());
+  EXPECT_EQ(partial->server.max_frame_bytes, 67108864);
+  EXPECT_NE(partial->server, ServerNetSpec{});
 }
 
 TEST(ConfigParseTest, ServerBlockRejectsBadValues) {
@@ -375,13 +376,14 @@ peer west { address "10.0.0.3:4400"; shard 1 of 4; replicas 2; }
   const PeerSpec& east = config->peers[0];
   EXPECT_EQ(east.replicas, 2);
   EXPECT_EQ(east.failover, "west");
-  EXPECT_EQ(east.probe_interval, 2 * kSecond);
-  EXPECT_EQ(east.suspect_after, 2);
-  EXPECT_EQ(east.down_after, 5);
+  EXPECT_EQ(east.health.probe_interval, 2 * kSecond);
+  EXPECT_EQ(east.health.suspect_after, 2);
+  EXPECT_EQ(east.health.down_after, 5);
   const PeerSpec& west = config->peers[1];
   EXPECT_EQ(west.replicas, 2);
   EXPECT_TRUE(west.failover.empty());
-  EXPECT_FALSE(west.probe_interval.has_value());
+  EXPECT_EQ(west.health.probe_interval, 5 * kSecond);
+  EXPECT_EQ(west.health, PeerHealthSpec{});
 }
 
 TEST(ConfigParseTest, PeerHealthAndFailoverRejectBadValues) {
@@ -400,6 +402,13 @@ TEST(ConfigParseTest, PeerHealthAndFailoverRejectBadValues) {
   EXPECT_FALSE(ParseConfig(
                    R"(peer p { address "h:1"; suspect_after 5; down_after 2; })")
                    .ok());
+  // down_after left at its default (3) counts as set to it.
+  auto undercut = ParseConfig(R"(peer p { address "h:1"; suspect_after 5; })");
+  ASSERT_FALSE(undercut.ok());
+  EXPECT_NE(undercut.status().ToString().find(
+                "peer p sets down_after below suspect_after"),
+            std::string::npos)
+      << undercut.status();
   EXPECT_FALSE(
       ParseConfig(R"(peer p { address "h:1"; suspect_after 0; })").ok());
   EXPECT_FALSE(
@@ -449,12 +458,13 @@ delivery {
 }
 
 TEST(ConfigFormatTest, ClassifierBlockRoundTrips) {
-  for (const char* mode : {"automaton", "trie", "linear"}) {
+  for (auto [word, mode] : {std::pair("automaton", IndexMode::kAutomaton),
+                            std::pair("trie", IndexMode::kPrefixIndex),
+                            std::pair("linear", IndexMode::kLinear)}) {
     auto config = ParseConfig(StrFormat(
-        "feed F { pattern \"f_%%i\"; }\nclassifier { mode %s; }\n", mode));
+        "feed F { pattern \"f_%%i\"; }\nclassifier { mode %s; }\n", word));
     ASSERT_TRUE(config.ok()) << config.status();
-    ASSERT_TRUE(config->classifier.mode.has_value());
-    EXPECT_EQ(*config->classifier.mode, mode);
+    EXPECT_EQ(config->classifier.mode, mode);
     std::string formatted = FormatConfig(*config);
     auto reparsed = ParseConfig(formatted);
     ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << formatted;

@@ -108,7 +108,7 @@ struct DaemonFixture {
 TEST(AnalyzerDaemonTest, PeriodicPassesGenerateSuggestions) {
   DaemonFixture fx(R"(feed KNOWN { pattern "known_%i.dat"; })");
   AnalyzerDaemon::Options opts;
-  opts.interval = 10 * kMinute;
+  opts.cycle_interval = 10 * kMinute;
   opts.analyzer.discovery.min_support = 3;
   AnalyzerDaemon daemon(fx.server.get(), &fx.loop, &fx.logger, opts);
   daemon.Start();

@@ -95,9 +95,10 @@ TEST_P(E2EPropertyTest, EveryClassifiedFileDeliveredExactlyOnce) {
   }
 
   BistroServer::Options opts;
-  opts.delivery.retry_backoff = 5 * kSecond;
-  opts.delivery.probe_interval = 30 * kSecond;
-  opts.delivery.max_attempts = 1000;  // transient failures must not drop files
+  config->delivery.retry_backoff_min = 5 * kSecond;
+  config->delivery.probe_interval = 30 * kSecond;
+  // Transient failures must not drop files.
+  config->delivery.max_attempts = 1000;
   auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
                                      &invoker, &logger);
   ASSERT_TRUE(server.ok()) << server.status();

@@ -28,11 +28,14 @@ struct Rig {
   Logger logger{&clock};
   std::unique_ptr<BistroServer> server;
 
+  /// `delivery` is the config's `delivery { }` block.
   explicit Rig(const char* config_text,
+               const DeliveryTuningSpec& delivery = {},
                BistroServer::Options options = BistroServer::Options()) {
     logger.SetMinLevel(LogLevel::kAlarm);
     auto config = ParseConfig(config_text);
     EXPECT_TRUE(config.ok()) << config.status();
+    config->delivery = delivery;
     auto s = BistroServer::Create(options, *config, &fs, &transport, &loop,
                                   &invoker, &logger);
     EXPECT_TRUE(s.ok()) << s.status();
@@ -46,11 +49,11 @@ subscriber s { feeds CPU; method push; }
 )";
 
 TEST(EngineTest, RetriesExhaustAfterMaxAttempts) {
-  BistroServer::Options opts;
-  opts.delivery.max_attempts = 3;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.offline_after_failures = 100;  // never flag offline here
-  Rig rig(kOneFeedOneSub, opts);
+  DeliveryTuningSpec tune;
+  tune.max_attempts = 3;
+  tune.retry_backoff_min = kSecond;
+  tune.offline_after = 100;  // never flag offline here
+  Rig rig(kOneFeedOneSub, tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   sink.SetFailing(true);
@@ -168,15 +171,15 @@ TEST(EngineTest, CacheAblationRereadsPerDispatch) {
   // cache_bytes 0 is the lockstep-baseline ablation: payloads are still
   // shared within one Get, but nothing is retained, so a fan-out of 3
   // dispatched as 3 jobs costs 3 staging reads.
-  BistroServer::Options opts;
-  opts.delivery.cache_bytes = 0;
+  DeliveryTuningSpec tune;
+  tune.cache_bytes = 0;
   Rig rig(R"(
 feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt"; }
 subscriber s1 { feeds CPU; method push; }
 subscriber s2 { feeds CPU; method push; }
 subscriber s3 { feeds CPU; method push; }
 )",
-          opts);
+          tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint a(&sub_fs, "/a"), b(&sub_fs, "/b"), c(&sub_fs, "/c");
   rig.transport.Register("s1", &a);
@@ -263,9 +266,9 @@ TEST(PayloadCacheTest, OversizedEntryStaysUntilDisplacedAndInvalidateDrops) {
 // ------------------------------------------------ Windows and coalescing
 
 TEST(EngineTest, SendWindowDeliversEverythingExactlyOnce) {
-  BistroServer::Options opts;
-  opts.delivery.window = 2;
-  Rig rig(kOneFeedOneSub, opts);
+  DeliveryTuningSpec tune;
+  tune.window = 2;
+  Rig rig(kOneFeedOneSub, tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   rig.transport.Register("s", &sink);
@@ -289,12 +292,12 @@ TEST(EngineTest, SendWindowDeliversEverythingExactlyOnce) {
 }
 
 TEST(EngineTest, CoalescesSmallSameSubscriberFilesIntoOneFrame) {
-  BistroServer::Options opts;
-  opts.delivery.coalesce_bytes = 1024;
+  DeliveryTuningSpec tune;
+  tune.coalesce_bytes = 1024;
   // A window wide enough that the backfill's whole batch dequeues in one
   // round (the server scales scheduler slots to fit the window).
-  opts.delivery.window = 8;
-  Rig rig(kOneFeedOneSub, opts);
+  tune.window = 8;
+  Rig rig(kOneFeedOneSub, tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   rig.transport.Register("s", &sink);
@@ -325,10 +328,10 @@ TEST(EngineTest, CoalescesSmallSameSubscriberFilesIntoOneFrame) {
 }
 
 TEST(EngineTest, CoalesceBudgetSplitsLargeRunsIntoMultipleFrames) {
-  BistroServer::Options opts;
-  opts.delivery.coalesce_bytes = 8;  // two 4-byte payloads per frame
-  opts.delivery.window = 8;
-  Rig rig(kOneFeedOneSub, opts);
+  DeliveryTuningSpec tune;
+  tune.coalesce_bytes = 8;  // two 4-byte payloads per frame
+  tune.window = 8;
+  Rig rig(kOneFeedOneSub, tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   rig.transport.Register("s", &sink);
@@ -352,11 +355,11 @@ TEST(EngineTest, CoalesceBudgetSplitsLargeRunsIntoMultipleFrames) {
 // ------------------------------------------- Group-committed receipts
 
 TEST(EngineTest, ReceiptGroupCommitsOnAckQuiescence) {
-  BistroServer::Options opts;
-  opts.delivery.receipt_group = 16;  // far above the traffic: quiescence
-                                     // (not size) must trigger the flush
-  opts.delivery.window = 8;  // all three sends in flight together
-  Rig rig(kOneFeedOneSub, opts);
+  DeliveryTuningSpec tune;
+  tune.receipt_group = 16;  // far above the traffic: quiescence
+                            // (not size) must trigger the flush
+  tune.window = 8;  // all three sends in flight together
+  Rig rig(kOneFeedOneSub, tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   rig.transport.Register("s", &sink);
@@ -383,18 +386,18 @@ TEST(EngineTest, BufferedReceiptsFlushWithinTheIntervalDespiteInFlightJobs) {
   // A failing second subscriber keeps the engine from going quiescent the
   // moment the first ack lands; the flush-interval timer (or the eventual
   // quiescence) must still commit the buffered receipt promptly.
-  BistroServer::Options opts;
-  opts.delivery.receipt_group = 16;
-  opts.delivery.receipt_flush_interval = 100 * kMillisecond;
-  opts.delivery.retry_backoff = kMinute;
-  opts.delivery.retry_jitter = false;
-  opts.delivery.offline_after_failures = 100;
+  DeliveryTuningSpec tune;
+  tune.receipt_group = 16;
+  tune.receipt_flush_interval = 100 * kMillisecond;
+  tune.retry_backoff_min = kMinute;
+  tune.retry_jitter = false;
+  tune.offline_after = 100;
   Rig rig(R"(
 feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt"; }
 subscriber good { feeds CPU; method push; }
 subscriber bad { feeds CPU; method push; }
 )",
-          opts);
+          tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint good(&sub_fs, "/g"), bad(&sub_fs, "/b");
   bad.SetFailing(true);
@@ -482,12 +485,12 @@ TEST(SchedulerSlotTest, RebalanceBetweenDequeueAndCompleteKeepsAccounting) {
 // ---------------------------------------------------------- Heartbeats
 
 TEST(HeartbeatTest, ProbeRestoresOfflineSubscriberAndBackfills) {
-  BistroServer::Options opts;
-  opts.delivery.offline_after_failures = 2;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.retry_jitter = false;
-  opts.delivery.probe_interval = 10 * kSecond;
-  Rig rig(kOneFeedOneSub, opts);
+  DeliveryTuningSpec tune;
+  tune.offline_after = 2;
+  tune.retry_backoff_min = kSecond;
+  tune.retry_jitter = false;
+  tune.probe_interval = 10 * kSecond;
+  Rig rig(kOneFeedOneSub, tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   int heartbeats = 0;
@@ -547,13 +550,12 @@ TEST(HeartbeatTest, DroppedProbesKeepSubscriberOfflineUntilWireHeals) {
 
   auto config = ParseConfig(kOneFeedOneSub);
   ASSERT_TRUE(config.ok()) << config.status();
-  BistroServer::Options opts;
-  opts.delivery.offline_after_failures = 2;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.retry_jitter = false;
-  opts.delivery.probe_interval = 10 * kSecond;
-  auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
-                                     &invoker, &logger);
+  config->delivery.offline_after = 2;
+  config->delivery.retry_backoff_min = kSecond;
+  config->delivery.retry_jitter = false;
+  config->delivery.probe_interval = 10 * kSecond;
+  auto server = BistroServer::Create(BistroServer::Options(), *config, &fs,
+                                     &transport, &loop, &invoker, &logger);
   ASSERT_TRUE(server.ok()) << server.status();
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
@@ -585,12 +587,12 @@ TEST(HeartbeatTest, DroppedProbesKeepSubscriberOfflineUntilWireHeals) {
 // ------------------------------------------------------- Admin console
 
 TEST(AdminTest, DeadLetterListingAndRedrive) {
-  BistroServer::Options opts;
-  opts.delivery.max_attempts = 2;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.retry_jitter = false;
-  opts.delivery.offline_after_failures = 100;  // exhaust retries instead
-  Rig rig(kOneFeedOneSub, opts);
+  DeliveryTuningSpec tune;
+  tune.max_attempts = 2;
+  tune.retry_backoff_min = kSecond;
+  tune.retry_jitter = false;
+  tune.offline_after = 100;  // exhaust retries instead
+  Rig rig(kOneFeedOneSub, tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   sink.SetFailing(true);
@@ -625,10 +627,11 @@ TEST(AdminTest, DeadLetterListingAndRedrive) {
 
 TEST(EngineTest, PendingPairCapEvictsOldestWithoutLosingDeliveries) {
   BistroServer::Options opts;
-  opts.delivery.max_pending_pairs = 2;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.retry_jitter = false;
-  Rig rig(kOneFeedOneSub, opts);
+  DeliveryTuningSpec tune;
+  opts.engine.max_pending_pairs = 2;
+  tune.retry_backoff_min = kSecond;
+  tune.retry_jitter = false;
+  Rig rig(kOneFeedOneSub, tune, opts);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   rig.transport.Register("s", &sink);

@@ -81,8 +81,8 @@ receipts { shards 8; }
   EXPECT_EQ(r.name, "edge1");
   EXPECT_EQ(r.children, (std::vector<std::string>{"analytics", "leaf9"}));
   EXPECT_EQ(r.spool, "/spool/edge1");
-  EXPECT_EQ(r.retry_backoff, 5 * kSecond);
-  EXPECT_EQ(r.max_attempts, 4);
+  EXPECT_EQ(r.retry.retry_backoff, 5 * kSecond);
+  EXPECT_EQ(r.retry.max_attempts, 4);
   EXPECT_EQ(config->receipts.shards, 8);
 }
 

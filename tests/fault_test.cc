@@ -355,7 +355,9 @@ TEST(FaultyVfsTest, SyncErrorKeepsBytesVolatile) {
   auto got = fs.ReadFile("/log");
   // The file was created by the append; the crash rolls it back to its
   // durable length, zero.
-  if (got.ok()) EXPECT_EQ(*got, "");
+  if (got.ok()) {
+    EXPECT_EQ(*got, "");
+  }
 }
 
 // ------------------------------------------------- WAL under injection
@@ -395,7 +397,9 @@ TEST(WalFaultTest, FailedSyncRollsTheRecordBack) {
   // the rollback write itself, which is durable) would otherwise make a
   // record the caller saw fail reappear at recovery.
   auto raw = base.ReadFile("/wal");
-  if (raw.ok()) EXPECT_EQ(*raw, "");
+  if (raw.ok()) {
+    EXPECT_EQ(*raw, "");
+  }
   std::vector<std::string> records;
   WriteAheadLog reopened(&base, "/wal");
   ASSERT_TRUE(
@@ -602,29 +606,31 @@ struct EngineRig {
   Logger logger{&clock};
   std::unique_ptr<BistroServer> server;
 
-  explicit EngineRig(BistroServer::Options options) {
+  /// `delivery` is the config's `delivery { }` block.
+  explicit EngineRig(const DeliveryTuningSpec& delivery) {
     logger.SetMinLevel(LogLevel::kAlarm);
     auto config = ParseConfig(R"(
 feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt"; }
 subscriber s { feeds CPU; method push; }
 )");
     EXPECT_TRUE(config.ok()) << config.status();
-    auto s = BistroServer::Create(options, *config, &fs, &transport, &loop,
-                                  &invoker, &logger);
+    config->delivery = delivery;
+    auto s = BistroServer::Create(BistroServer::Options(), *config, &fs,
+                                  &transport, &loop, &invoker, &logger);
     EXPECT_TRUE(s.ok()) << s.status();
     server = std::move(*s);
   }
 };
 
 TEST(BackoffTest, ExponentialScheduleGrowsToCapWithoutJitter) {
-  BistroServer::Options opts;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.retry_backoff_max = 10 * kSecond;
-  opts.delivery.retry_backoff_multiplier = 3.0;
-  opts.delivery.retry_jitter = false;
-  opts.delivery.max_attempts = 5;
-  opts.delivery.offline_after_failures = 100;
-  EngineRig rig(opts);
+  DeliveryTuningSpec tune;
+  tune.retry_backoff_min = kSecond;
+  tune.retry_backoff_max = 10 * kSecond;
+  tune.retry_multiplier = 3.0;
+  tune.retry_jitter = false;
+  tune.max_attempts = 5;
+  tune.offline_after = 100;
+  EngineRig rig(tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   sink.SetFailing(true);
@@ -651,14 +657,14 @@ TEST(BackoffTest, ExponentialScheduleGrowsToCapWithoutJitter) {
 }
 
 TEST(BackoffTest, JitteredRetriesStayWithinEnvelope) {
-  BistroServer::Options opts;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.retry_backoff_max = 8 * kSecond;
-  opts.delivery.retry_backoff_multiplier = 2.0;
-  opts.delivery.retry_jitter = true;
-  opts.delivery.max_attempts = 6;
-  opts.delivery.offline_after_failures = 100;
-  EngineRig rig(opts);
+  DeliveryTuningSpec tune;
+  tune.retry_backoff_min = kSecond;
+  tune.retry_backoff_max = 8 * kSecond;
+  tune.retry_multiplier = 2.0;
+  tune.retry_jitter = true;
+  tune.max_attempts = 6;
+  tune.offline_after = 100;
+  EngineRig rig(tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   sink.SetFailing(true);
@@ -675,12 +681,12 @@ TEST(BackoffTest, JitteredRetriesStayWithinEnvelope) {
 }
 
 TEST(DeadLetterTest, RedriveResubmitsWithFreshBudget) {
-  BistroServer::Options opts;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.retry_jitter = false;
-  opts.delivery.max_attempts = 2;
-  opts.delivery.offline_after_failures = 100;
-  EngineRig rig(opts);
+  DeliveryTuningSpec tune;
+  tune.retry_backoff_min = kSecond;
+  tune.retry_jitter = false;
+  tune.max_attempts = 2;
+  tune.offline_after = 100;
+  EngineRig rig(tune);
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   sink.SetFailing(true);
@@ -803,12 +809,11 @@ feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt"; }
 subscriber s { feeds CPU; method push; }
 )");
   ASSERT_TRUE(config.ok());
-  BistroServer::Options opts;
-  opts.delivery.retry_backoff = kSecond;
-  opts.delivery.retry_jitter = false;
-  opts.delivery.offline_after_failures = 100;
-  auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
-                                     &invoker, &logger);
+  config->delivery.retry_backoff_min = kSecond;
+  config->delivery.retry_jitter = false;
+  config->delivery.offline_after = 100;
+  auto server = BistroServer::Create(BistroServer::Options(), *config, &fs,
+                                     &transport, &loop, &invoker, &logger);
   ASSERT_TRUE(server.ok());
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");

@@ -167,8 +167,7 @@ peer down { address "127.0.0.1:1"; feeds FED; }
   config->server.ack_timeout = 2 * kSecond;
 
   SocketTransport transport(
-      &loop, SocketOptionsFromSpec(config->server,
-                                   static_cast<uint64_t>(seed) + 1));
+      &loop, {config->server, static_cast<uint64_t>(seed) + 1});
 
   BistroServer::Options opts;
   opts.landing_root = up_root + "/landing";
@@ -176,11 +175,11 @@ peer down { address "127.0.0.1:1"; feeds FED; }
   opts.db_dir = up_root + "/db";
   opts.sync_staging = true;
   opts.kv.sync_wal = true;
-  opts.delivery.retry_backoff = 50 * kMillisecond;
-  opts.delivery.retry_backoff_max = 500 * kMillisecond;
-  opts.delivery.probe_interval = 100 * kMillisecond;
-  opts.delivery.max_attempts = 1000000;  // the outage must not drop files
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 2;
+  config->delivery.retry_backoff_min = 50 * kMillisecond;
+  config->delivery.retry_backoff_max = 500 * kMillisecond;
+  config->delivery.probe_interval = 100 * kMillisecond;
+  config->delivery.max_attempts = 1000000;  // the outage must not drop files
+  opts.engine.backoff_seed = static_cast<uint64_t>(seed) + 2;
   auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
                                      &invoker, &logger);
   ASSERT_TRUE(server.ok()) << server.status();

@@ -134,8 +134,8 @@ ServerConfig RandomConfig(Rng* rng) {
     relay.name = "relay" + std::to_string(r);
     relay.children = {"c" + rng->AlnumString(3), "peer0"};
     if (rng->Bernoulli(0.5)) relay.spool = "/spool/\"" + rng->AlnumString(4);
-    if (rng->Bernoulli(0.5)) relay.retry_backoff = positive();
-    if (rng->Bernoulli(0.5)) relay.max_attempts = count();
+    if (rng->Bernoulli(0.5)) relay.retry.retry_backoff = positive();
+    if (rng->Bernoulli(0.5)) relay.retry.max_attempts = count();
     config.relays.push_back(std::move(relay));
   }
   DeliveryTuningSpec& d = config.delivery;
@@ -155,7 +155,9 @@ ServerConfig RandomConfig(Rng* rng) {
   if (rng->Bernoulli(0.7)) in.workers = count() - 1;
   if (rng->Bernoulli(0.7)) in.queue_depth = count();
   if (rng->Bernoulli(0.7)) in.batch = count();
-  static const char* kPolicies[] = {"block", "shed_oldest", "spill"};
+  static const OverloadPolicy kPolicies[] = {OverloadPolicy::kBlock,
+                                             OverloadPolicy::kShedOldest,
+                                             OverloadPolicy::kSpillToDisk};
   if (rng->Bernoulli(0.7)) in.overload_policy = kPolicies[rng->Uniform(3)];
   AnalyzerTuningSpec& a = config.analyzer;
   if (rng->Bernoulli(0.7)) a.workers = count() - 1;
@@ -165,11 +167,13 @@ ServerConfig RandomConfig(Rng* rng) {
   if (rng->Bernoulli(0.7)) {
     config.receipts.shards = 1 + static_cast<int>(rng->Uniform(256));
   }
-  static const char* kModes[] = {"automaton", "trie", "linear"};
+  static const IndexMode kModes[] = {IndexMode::kAutomaton,
+                                     IndexMode::kPrefixIndex,
+                                     IndexMode::kLinear};
   if (rng->Bernoulli(0.7)) config.classifier.mode = kModes[rng->Uniform(3)];
   ServerNetSpec& srv = config.server;
   if (rng->Bernoulli(0.7)) {
-    srv.listen = "127.0.0.1:" + std::to_string(rng->Uniform(65536));
+    srv.listen_address = "127.0.0.1:" + std::to_string(rng->Uniform(65536));
   }
   if (rng->Bernoulli(0.7)) srv.max_frame_bytes = 1 + big();
   if (rng->Bernoulli(0.7)) srv.outbound_queue_bytes = 1 + big();
@@ -191,11 +195,15 @@ ServerConfig RandomConfig(Rng* rng) {
     if (peers > 1 && rng->Bernoulli(0.5)) {
       peer.failover = "peer" + std::to_string((p + 1) % peers);
     }
-    if (rng->Bernoulli(0.5)) peer.probe_interval = positive();
-    if (rng->Bernoulli(0.5)) peer.suspect_after = 1 + count() / 2;
+    PeerHealthSpec& health = peer.health;
+    if (rng->Bernoulli(0.5)) health.probe_interval = positive();
+    if (rng->Bernoulli(0.5)) health.suspect_after = 1 + count() / 2;
     if (rng->Bernoulli(0.5)) {
-      peer.down_after = peer.suspect_after.value_or(1) +
-                        static_cast<int>(rng->Uniform(1000));
+      health.down_after =
+          health.suspect_after + static_cast<int>(rng->Uniform(1000));
+    } else {
+      // down_after at its default must still not undercut suspect_after.
+      health.down_after = std::max(health.down_after, health.suspect_after);
     }
     if (rng->Bernoulli(0.5)) peer.window = duration();
     config.peers.push_back(std::move(peer));

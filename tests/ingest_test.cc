@@ -439,23 +439,20 @@ struct ServerRig {
   Logger logger{&clock};
   std::unique_ptr<BistroServer> server;
 
-  explicit ServerRig(BistroServer::Options options = BistroServer::Options(),
-                     const char* config_text = kServerConfig) {
+  explicit ServerRig(const std::string& config_text = kServerConfig) {
     logger.SetMinLevel(LogLevel::kAlarm);
     auto config = ParseConfig(config_text);
     EXPECT_TRUE(config.ok()) << config.status();
-    auto s = BistroServer::Create(options, *config, &fs, &transport, &loop,
-                                  &invoker, &logger);
+    auto s = BistroServer::Create(BistroServer::Options(), *config, &fs,
+                                  &transport, &loop, &invoker, &logger);
     EXPECT_TRUE(s.ok()) << s.status();
     server = std::move(*s);
   }
 };
 
 TEST(IngestServerTest, ThreadedServerDeliversEverythingExactlyOnce) {
-  BistroServer::Options opts;
-  opts.ingest.workers = 4;
-  opts.ingest.batch = 8;
-  ServerRig rig(opts);
+  ServerRig rig(std::string(kServerConfig) +
+                "ingest { workers 4; batch 8; }\n");
   InMemoryFileSystem sub_fs;
   FileSinkEndpoint sink(&sub_fs, "/r");
   rig.transport.Register("s", &sink);
@@ -551,16 +548,15 @@ feed CPU { pattern "CPU_%i.txt"; }
 ingest { workers 4; queue_depth 128; batch 16; overload_policy spill; }
 )");
   ASSERT_TRUE(config.ok()) << config.status();
-  ASSERT_TRUE(config->ingest.workers.has_value());
-  EXPECT_EQ(*config->ingest.workers, 4);
-  EXPECT_EQ(*config->ingest.queue_depth, 128);
-  EXPECT_EQ(*config->ingest.batch, 16);
-  EXPECT_EQ(*config->ingest.overload_policy, "spill");
+  EXPECT_EQ(config->ingest.workers, 4);
+  EXPECT_EQ(config->ingest.queue_depth, 128);
+  EXPECT_EQ(config->ingest.batch, 16);
+  EXPECT_EQ(config->ingest.overload_policy, OverloadPolicy::kSpillToDisk);
   std::string formatted = FormatConfig(*config);
   EXPECT_NE(formatted.find("ingest {"), std::string::npos);
   auto reparsed = ParseConfig(formatted);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-  EXPECT_EQ(*reparsed->ingest.overload_policy, "spill");
+  EXPECT_EQ(reparsed->ingest.overload_policy, OverloadPolicy::kSpillToDisk);
 }
 
 TEST(IngestConfigTest, RejectsBadIngestValues) {
@@ -572,15 +568,15 @@ TEST(IngestConfigTest, RejectsBadIngestValues) {
 }
 
 TEST(IngestConfigTest, ServerHonorsConfiguredPolicy) {
-  ServerRig rig(BistroServer::Options(), R"(
+  ServerRig rig(R"(
 feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt"; }
 subscriber s { feeds CPU; method push; }
 ingest { workers 2; queue_depth 64; batch 8; overload_policy shed_oldest; }
 )");
   const IngestPipeline::Options& o = rig.server->ingest()->options();
   EXPECT_EQ(o.workers, 2);
-  EXPECT_EQ(o.queue_depth, 64u);
-  EXPECT_EQ(o.batch, 8u);
+  EXPECT_EQ(o.queue_depth, 64);
+  EXPECT_EQ(o.batch, 8);
   EXPECT_EQ(o.overload_policy, OverloadPolicy::kShedOldest);
   EXPECT_TRUE(rig.server->ingest()->threaded());
 }

@@ -121,7 +121,7 @@ class Upstream {
   Upstream(int seed, EventLoop* loop, LocalFileSystem* fs, Logger* logger,
            const std::string& root, const std::string& peer_config,
            std::vector<Downstream*> downstreams, bool with_runtime,
-           std::function<void(BistroServer::Options*)> tweak = nullptr) {
+           std::function<void(ServerConfig*)> tweak = nullptr) {
     Init(seed, loop, fs, logger, root, peer_config, std::move(downstreams),
          with_runtime, std::move(tweak));
   }
@@ -130,7 +130,7 @@ class Upstream {
   void Init(int seed, EventLoop* loop, LocalFileSystem* fs, Logger* logger,
             const std::string& root, const std::string& peer_config,
             std::vector<Downstream*> downstreams, bool with_runtime,
-            std::function<void(BistroServer::Options*)> tweak) {
+            std::function<void(ServerConfig*)> tweak) {
     auto config = ParseConfig(std::string(kFeedConfig) + peer_config);
     ASSERT_TRUE(config.ok()) << config.status();
     config_ = std::make_unique<ServerConfig>(std::move(*config));
@@ -139,8 +139,8 @@ class Upstream {
     config_->server.ack_timeout = 300 * kMillisecond;
 
     transport_ = std::make_unique<SocketTransport>(
-        loop, SocketOptionsFromSpec(config_->server,
-                                    static_cast<uint64_t>(seed) + 1));
+        loop, SocketTransport::Options{config_->server,
+                                       static_cast<uint64_t>(seed) + 1});
     harness_ = std::make_unique<PartitionableTransport>(
         loop, transport_.get(), "up");
 
@@ -148,12 +148,12 @@ class Upstream {
     opts.landing_root = root + "/up/landing";
     opts.staging_root = root + "/up/staging";
     opts.db_dir = root + "/up/db";
-    opts.delivery.retry_backoff = 50 * kMillisecond;
-    opts.delivery.retry_backoff_max = 400 * kMillisecond;
-    opts.delivery.probe_interval = 100 * kMillisecond;
-    opts.delivery.max_attempts = 1000000;  // an outage must not drop files
-    opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 2;
-    if (tweak) tweak(&opts);
+    config_->delivery.retry_backoff_min = 50 * kMillisecond;
+    config_->delivery.retry_backoff_max = 400 * kMillisecond;
+    config_->delivery.probe_interval = 100 * kMillisecond;
+    config_->delivery.max_attempts = 1000000;  // an outage must not drop files
+    opts.engine.backoff_seed = static_cast<uint64_t>(seed) + 2;
+    if (tweak) tweak(config_.get());
     auto server = BistroServer::Create(opts, *config_, fs, harness_.get(),
                                        loop, &invoker_, logger);
     ASSERT_TRUE(server.ok()) << server.status();
@@ -287,7 +287,7 @@ class PartitionE2ETest : public ::testing::TestWithParam<int> {
 };
 
 /// One tracked peer with fast health thresholds (tests only; production
-/// defaults are in PeerHealthOptions).
+/// defaults are in PeerHealthSpec).
 constexpr char kTrackedPeer[] = R"(
 peer down { address "127.0.0.1:1"; feeds FED;
             probe_interval 100ms; suspect_after 1; down_after 3; }
@@ -526,13 +526,13 @@ TEST_P(PartitionE2ETest, AckTimeoutOnCoalescedBundleRetriesEveryFile) {
   Downstream down(loop_.get(), &fs_, logger_.get(), root_ + "/down");
   Upstream up(seed_, loop_.get(), &fs_, logger_.get(), root_,
               R"(peer down { address "127.0.0.1:1"; feeds FED; })", {&down},
-              /*with_runtime=*/false, [](BistroServer::Options* opts) {
-                opts->delivery.coalesce_bytes = 64 * 1024;
-                opts->delivery.window = 8;
-                opts->delivery.retry_backoff = 250 * kMillisecond;
+              /*with_runtime=*/false, [](ServerConfig* config) {
+                config->delivery.coalesce_bytes = 64 * 1024;
+                config->delivery.window = 8;
+                config->delivery.retry_backoff_min = 250 * kMillisecond;
                 // Keep the direct-retry path in play: never flag the
                 // subscriber offline.
-                opts->delivery.offline_after_failures = 1000000;
+                config->delivery.offline_after = 1000000;
               });
 
   // Warm the connection, then eat acks only: the bundle will arrive and

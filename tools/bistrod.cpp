@@ -8,15 +8,15 @@
 // (the `destination` attribute); trigger commands run via the shell.
 //
 // Usage:
-//   bistrod --config feeds.conf --root /var/bistro \
-//           [--scan-interval 10s] [--status-interval 60s] \
-//           [--window 7d] [--duration 0 (run forever)] \
+//   bistrod --config feeds.conf --root /var/bistro
+//           [--scan-interval 10s] [--status-interval 60s]
+//           [--window 7d] [--duration 0 (run forever)]
 //           [--listen ip:port (accept Bistro-to-Bistro connections;
-//            overrides the config's server { listen; })] \
+//            overrides the config's server { listen; })]
 //           [--port-file <path> (write the bound listen port, for
-//            ephemeral-port orchestration)] \
-//           [--durable (fsync staged files and receipt WAL writes)] \
-//           [--metrics-json <path> (dump a metrics snapshot on shutdown)] \
+//            ephemeral-port orchestration)]
+//           [--durable (fsync staged files and receipt WAL writes)]
+//           [--metrics-json <path> (dump a metrics snapshot on shutdown)]
 //           [--admin-file <path> (poll for operator commands: status,
 //            deadletters, redrive, peers — one per line; file is consumed)]
 //
@@ -165,21 +165,21 @@ int main(int argc, char** argv) {
                  config.status().ToString().c_str());
     return 1;
   }
-  if (!args.listen.empty()) config->server.listen = args.listen;
+  if (!args.listen.empty()) config->server.listen_address = args.listen;
 
   // One transport carries everything: local subscriber sinks (loopback
   // semantics) plus federated peers and inbound upstreams over TCP.
   // Different processes draw different reconnect jitter.
   SocketTransport transport(
-      &loop, SocketOptionsFromSpec(config->server,
-                                   static_cast<uint64_t>(getpid())));
+      &loop, {config->server, static_cast<uint64_t>(getpid())});
   if (Status s = transport.Listen(); !s.ok()) {
     std::fprintf(stderr, "listen error: %s\n", s.ToString().c_str());
     return 1;
   }
   if (transport.listen_port() >= 0) {
     std::fprintf(stderr, "listening for peers on %s (port %d)\n",
-                 config->server.listen.c_str(), transport.listen_port());
+                 config->server.listen_address.c_str(),
+                 transport.listen_port());
     if (!args.port_file.empty()) {
       // Written atomically: orchestration polls for the file and must
       // never read a half-written port.
@@ -235,12 +235,10 @@ int main(int argc, char** argv) {
   fanout_view.relay_specs = config->relays;
   std::vector<std::unique_ptr<fanout::RelayNode>> relays;
   for (const RelaySpec& spec : config->relays) {
-    fanout::RelayNode::Options relay_options;
+    fanout::RelayNode::Options relay_options(spec.retry);
     relay_options.spool_dir = spec.spool.empty()
                                   ? path::Join(args.root, "relay/" + spec.name)
                                   : spec.spool;
-    if (spec.retry_backoff) relay_options.retry_backoff = *spec.retry_backoff;
-    if (spec.max_attempts) relay_options.max_attempts = *spec.max_attempts;
     relay_options.kv.sync_wal = args.durable;
     auto relay = fanout::RelayNode::Open(spec.name, spec.children, &fs,
                                          &transport, &loop, &logger,
@@ -304,9 +302,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   (*server)->StartMaintenanceTimer();
-  AnalyzerDaemon::Options analyzer_opts;
-  analyzer_opts.ApplyTuning(config->analyzer);
-  AnalyzerDaemon analyzer(server->get(), &loop, &logger, analyzer_opts);
+  AnalyzerDaemon analyzer(server->get(), &loop, &logger,
+                          AnalyzerDaemon::Options(config->analyzer));
   analyzer.Start();
 
   std::fprintf(stderr,
