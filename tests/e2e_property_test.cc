@@ -7,13 +7,14 @@
 //   filesystem holds exactly the staged bytes.
 //
 // Each seed generates a different scenario; the invariants are checked
-// after the simulation settles.
+// by the shared exactly-once oracle (tests/audit.h) after the simulation
+// settles. BISTRO_CHAOS_SEED_BASE shifts the seed window.
 
-#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "audit.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "config/parser.h"
@@ -35,7 +36,9 @@ struct Scenario {
 class E2EPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(E2EPropertyTest, EveryClassifiedFileDeliveredExactlyOnce) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
+  const int seed = audit::SeedBase() + GetParam();
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Rng rng(static_cast<uint64_t>(seed) * 7919 + 13);
   Scenario sc;
   sc.num_feeds = 1 + static_cast<int>(rng.Uniform(4));
   sc.num_subscribers = 1 + static_cast<int>(rng.Uniform(4));
@@ -62,7 +65,7 @@ TEST_P(E2EPropertyTest, EveryClassifiedFileDeliveredExactlyOnce) {
         "tardiness 2m; }\n",
         'A' + f, 'a' + f);
   }
-  std::vector<std::vector<int>> subscriptions(sc.num_subscribers);
+  std::vector<audit::Sink> sinks(sc.num_subscribers);
   for (int s = 0; s < sc.num_subscribers; ++s) {
     config_text += StrFormat("subscriber sub%d { feeds ", s);
     std::set<int> feeds;
@@ -74,7 +77,7 @@ TEST_P(E2EPropertyTest, EveryClassifiedFileDeliveredExactlyOnce) {
     for (int f : feeds) {
       if (!first) config_text += ", ";
       config_text += StrFormat("FEED%c", 'A' + f);
-      subscriptions[s].push_back(f);
+      sinks[s].feeds.push_back(StrFormat("FEED%c", 'A' + f));
       first = false;
     }
     config_text += "; method push; }\n";
@@ -82,16 +85,11 @@ TEST_P(E2EPropertyTest, EveryClassifiedFileDeliveredExactlyOnce) {
   auto config = ParseConfig(config_text);
   ASSERT_TRUE(config.ok()) << config.status() << "\n" << config_text;
 
-  std::vector<std::unique_ptr<InMemoryFileSystem>> sub_fs;
-  std::vector<std::unique_ptr<FileSinkEndpoint>> sinks;
   for (int s = 0; s < sc.num_subscribers; ++s) {
     LinkSpec link;
     link.failure_prob = sc.link_failure;
     network.SetLink(StrFormat("sub%d", s), link);
-    sub_fs.push_back(std::make_unique<InMemoryFileSystem>());
-    sinks.push_back(
-        std::make_unique<FileSinkEndpoint>(sub_fs.back().get(), "/recv"));
-    transport.Register(StrFormat("sub%d", s), sinks.back().get());
+    transport.Register(StrFormat("sub%d", s), &sinks[s].endpoint);
   }
 
   BistroServer::Options opts;
@@ -104,7 +102,7 @@ TEST_P(E2EPropertyTest, EveryClassifiedFileDeliveredExactlyOnce) {
   ASSERT_TRUE(server.ok()) << server.status();
 
   // Random traffic over one simulated hour.
-  std::map<std::string, std::pair<int, std::string>> expected;  // name -> (feed, bytes)
+  audit::Expected expected;
   int junk_count = 0;
   for (int i = 0; i < sc.num_files; ++i) {
     TimePoint t = start + static_cast<Duration>(rng.Uniform(kHour));
@@ -120,7 +118,7 @@ TEST_P(E2EPropertyTest, EveryClassifiedFileDeliveredExactlyOnce) {
       name = StrFormat("feed%c_%d_%04d%02d%02d%02d%02d.dat", 'a' + f, i,
                        c.year, c.month, c.day, c.hour, c.minute);
       content = rng.AlnumString(10 + rng.Uniform(500));
-      expected[name] = {f, content};
+      expected[name] = {StrFormat("FEED%c", 'A' + f), content};
     }
     loop.PostAt(t, [&, name, content] {
       ASSERT_TRUE((*server)->Deposit("src", name, content).ok());
@@ -144,43 +142,13 @@ TEST_P(E2EPropertyTest, EveryClassifiedFileDeliveredExactlyOnce) {
   EXPECT_EQ(stats.files_unmatched, static_cast<uint64_t>(junk_count));
   EXPECT_EQ(stats.files_classified, expected.size());
 
+  // Exactly-once: each subscriber holds exactly its feeds' files with
+  // the deposited bytes (duplicates would inflate its count; receipts
+  // dedupe retries), and the receipts show every queue drained.
   for (int s = 0; s < sc.num_subscribers; ++s) {
-    std::set<int> feeds(subscriptions[s].begin(), subscriptions[s].end());
-    // Which files should this subscriber hold?
-    size_t want = 0;
-    for (const auto& [name, info] : expected) {
-      if (feeds.count(info.first) == 0) continue;
-      ++want;
-      std::string dest = StrFormat("/recv/FEED%c/%s", 'A' + info.first,
-                                   name.c_str());
-      auto got = sub_fs[s]->ReadFile(dest);
-      ASSERT_TRUE(got.ok()) << "sub" << s << " missing " << dest << " (seed "
-                            << GetParam() << ")";
-      EXPECT_EQ(*got, info.second);
-    }
-    // Exactly-once: sink delivery count equals the expected set size
-    // (duplicates would inflate it; receipts dedupe retries).
-    EXPECT_EQ(sinks[s]->files_received(), want)
-        << "sub" << s << " duplicate or missing deliveries (seed "
-        << GetParam() << ")";
-    // And every delivery is receipted.
-    for (const auto& [name, info] : expected) {
-      (void)name;
-      if (feeds.count(info.first) == 0) continue;
-    }
+    audit::AuditSink(StrFormat("sub%d", s), &sinks[s], expected);
   }
-  // Receipt-side exactly-once: per subscriber, per classified file in its
-  // interest set, Delivered() is true and the delivery queue is empty.
-  for (int s = 0; s < sc.num_subscribers; ++s) {
-    const SubscriberSpec* spec =
-        (*server)->registry()->FindSubscriber(StrFormat("sub%d", s));
-    ASSERT_NE(spec, nullptr);
-    auto queue = (*server)->receipts()->ComputeDeliveryQueue(
-        spec->name, (*server)->registry()->SubscribedFeeds(*spec));
-    EXPECT_TRUE(queue.empty())
-        << "sub" << s << " still has " << queue.size()
-        << " undelivered files (seed " << GetParam() << ")";
-  }
+  audit::AuditDrained(server->get(), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, E2EPropertyTest, ::testing::Range(1, 13));

@@ -18,19 +18,18 @@
 //
 // The CI federation job shifts seeds via BISTRO_CHAOS_SEED_BASE.
 
+#include <sys/prctl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdlib>
-#include <map>
-#include <set>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "audit.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "config/parser.h"
@@ -43,11 +42,6 @@
 
 namespace bistro {
 namespace {
-
-int SeedBase() {
-  const char* env = std::getenv("BISTRO_CHAOS_SEED_BASE");
-  return env == nullptr ? 0 : std::atoi(env);
-}
 
 constexpr char kFeedConfig[] = R"(
 feed FED { pattern "fed_%i_%Y%m%d%H%M.dat"; tardiness 1m; }
@@ -101,8 +95,17 @@ feed FED { pattern "fed_%i_%Y%m%d%H%M.dat"; tardiness 1m; }
 }
 
 pid_t ForkDownstream(const std::string& root, const std::string& port_file) {
+  const pid_t parent = getpid();
   pid_t pid = fork();
-  if (pid == 0) RunDownstream(root, port_file);  // never returns
+  if (pid == 0) {
+    // Die with the test binary, even if it crashes: no orphan keeps
+    // looping on the port. The getppid check closes the race with a
+    // parent that died before prctl ran.
+    if (prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || getppid() != parent) {
+      _exit(7);
+    }
+    RunDownstream(root, port_file);  // never returns
+  }
   return pid;
 }
 
@@ -120,25 +123,47 @@ int AwaitPort(LocalFileSystem* fs, const std::string& port_file) {
   return -1;
 }
 
-void KillDownstream(pid_t pid) {
-  ASSERT_GT(pid, 0);
-  ASSERT_EQ(kill(pid, SIGKILL), 0);
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status));
-}
-
 // ------------------------------------------------------------ the test
 
-class FederationE2ETest : public ::testing::TestWithParam<int> {};
+/// Owns the temp root and the forked downstream. Any ASSERT that fails
+/// after a fork returns with the child still looping, so TearDown kills
+/// and reaps a live child and removes the root whatever the outcome.
+class FederationE2ETest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    char dir_template[] = "/tmp/bistro_fed_e2e_XXXXXX";
+    ASSERT_NE(mkdtemp(dir_template), nullptr);
+    root_ = dir_template;
+  }
+
+  void TearDown() override {
+    if (child_ > 0) {
+      (void)kill(child_, SIGKILL);
+      (void)waitpid(child_, nullptr, 0);
+    }
+    if (!root_.empty()) (void)std::system(("rm -rf " + root_).c_str());
+  }
+
+  /// SIGKILLs the running downstream and reaps it.
+  void KillDownstream() {
+    ASSERT_GT(child_, 0);
+    ASSERT_EQ(kill(child_, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(waitpid(child_, &status, 0), child_);
+    child_ = 0;
+    ASSERT_TRUE(WIFSIGNALED(status));
+  }
+
+  std::string root_;
+  pid_t child_ = 0;
+};
 
 TEST_P(FederationE2ETest, ExactlyOnceAcrossDownstreamSigkill) {
-  const int seed = SeedBase() + GetParam();
+  const int seed = audit::SeedBase() + GetParam();
+  SCOPED_TRACE("seed " + std::to_string(seed));
   Rng rng(static_cast<uint64_t>(seed) * 7919 + 17);
 
-  char dir_template[] = "/tmp/bistro_fed_e2e_XXXXXX";
-  ASSERT_NE(mkdtemp(dir_template), nullptr);
-  const std::string root = dir_template;
+  const std::string& root = root_;
   const std::string up_root = root + "/up";
   const std::string down_root = root + "/down";
 
@@ -146,8 +171,8 @@ TEST_P(FederationE2ETest, ExactlyOnceAcrossDownstreamSigkill) {
   RealClock* clock = RealClock::Get();
 
   // ---- First downstream incarnation.
-  pid_t child = ForkDownstream(down_root, root + "/port1");
-  ASSERT_GT(child, 0);
+  child_ = ForkDownstream(down_root, root + "/port1");
+  ASSERT_GT(child_, 0);
   int port = AwaitPort(&fs, root + "/port1");
   ASSERT_GT(port, 0) << "downstream never published its port";
 
@@ -188,12 +213,12 @@ peer down { address "127.0.0.1:1"; feeds FED; }
 
   // ---- Traffic: N files with randomized payloads.
   const int num_files = 32 + static_cast<int>(rng.Uniform(16));
-  std::map<std::string, std::string> expected;
+  audit::Expected expected;
   auto deposit = [&](int i) {
     std::string name = StrFormat("fed_%d_202608080%d%02d.dat", i,
                                  1 + i / 60, i % 60);
     std::string content = rng.AlnumString(64 + rng.Uniform(4096));
-    expected[name] = content;
+    expected[name] = {"FED", content};
     ASSERT_TRUE((*server)->Deposit("src", name, content).ok());
   };
 
@@ -219,7 +244,7 @@ peer down { address "127.0.0.1:1"; feeds FED; }
                                     << seed << ")";
 
   // ---- SIGKILL the downstream mid-stream.
-  KillDownstream(child);
+  ASSERT_NO_FATAL_FAILURE(KillDownstream());
 
   // Second wave lands during the outage; every send fails Unavailable
   // and parks in the retry/probe machinery.
@@ -228,8 +253,8 @@ peer down { address "127.0.0.1:1"; feeds FED; }
 
   // ---- Restart the downstream on the same root: receipts and staged
   // bytes recover from the WAL; the listener binds a fresh port.
-  child = ForkDownstream(down_root, root + "/port2");
-  ASSERT_GT(child, 0);
+  child_ = ForkDownstream(down_root, root + "/port2");
+  ASSERT_GT(child_, 0);
   port = AwaitPort(&fs, root + "/port2");
   ASSERT_GT(port, 0) << "restarted downstream never published its port";
   transport.AddPeer("down", "127.0.0.1:" + std::to_string(port));
@@ -244,33 +269,17 @@ peer down { address "127.0.0.1:1"; feeds FED; }
   EXPECT_TRUE((*server)->delivery()->dead_letters().empty());
 
   // ---- Kill the survivor too: the guarantee must already be durable.
-  KillDownstream(child);
+  ASSERT_NO_FATAL_FAILURE(KillDownstream());
 
-  // ---- Inspect the downstream's receipt database post-mortem.
-  auto down_db = ReceiptDatabase::Open(&fs, down_root + "/db");
-  ASSERT_TRUE(down_db.ok()) << down_db.status();
-  EXPECT_EQ((*down_db)->ArrivalCount(), expected.size())
+  // ---- Inspect the downstream's receipt database post-mortem: one
+  // arrival per name, payload bytes intact across two TCP hops and a
+  // crash.
+  EXPECT_EQ(audit::AuditReceiptDb(&fs, down_root + "/db", expected).size(),
+            expected.size())
       << "downstream ingest count != deposited count (seed " << seed
       << "): a dup or a loss slipped through the crash";
-  std::set<std::string> seen;
-  for (FileId id : (*down_db)->FilesInFeed("FED")) {
-    auto receipt = (*down_db)->GetArrival(id);
-    ASSERT_TRUE(receipt.ok()) << receipt.status();
-    EXPECT_TRUE(seen.insert(receipt->name).second)
-        << "name ingested twice: " << receipt->name << " (seed " << seed
-        << ")";
-    auto it = expected.find(receipt->name);
-    ASSERT_NE(it, expected.end()) << "unexpected file: " << receipt->name;
-    // Payload bytes survived two TCP hops and a crash intact.
-    auto staged = fs.ReadFile(receipt->staged_path);
-    ASSERT_TRUE(staged.ok()) << receipt->staged_path << ": "
-                             << staged.status();
-    EXPECT_EQ(*staged, it->second) << receipt->name;
-  }
-  EXPECT_EQ(seen.size(), expected.size());
 
   transport.Shutdown();
-  (void)std::system(("rm -rf " + root).c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FederationE2ETest, ::testing::Range(0, 3));

@@ -17,7 +17,6 @@
 
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "config/parser.h"
@@ -39,11 +39,6 @@
 
 namespace bistro {
 namespace {
-
-int SeedBase() {
-  const char* env = std::getenv("BISTRO_CHAOS_SEED_BASE");
-  return env == nullptr ? 0 : std::atoi(env);
-}
 
 constexpr char kFeedConfig[] = R"(
 feed FED { pattern "fed_%i_%Y%m%d%H%M.dat"; tardiness 1m; }
@@ -204,7 +199,7 @@ class PartitionE2ETest : public ::testing::TestWithParam<int> {
     char dir_template[] = "/tmp/bistro_part_e2e_XXXXXX";
     ASSERT_NE(mkdtemp(dir_template), nullptr);
     root_ = dir_template;
-    seed_ = SeedBase() + GetParam();
+    seed_ = audit::SeedBase() + GetParam();
     rng_ = std::make_unique<Rng>(static_cast<uint64_t>(seed_) * 6271 + 29);
     clock_ = RealClock::Get();
     loop_ = std::make_unique<EventLoop>(clock_);
@@ -224,7 +219,7 @@ class PartitionE2ETest : public ::testing::TestWithParam<int> {
                                  1 + i / 60, i % 60);
     std::string content =
         rng_->AlnumString(min_bytes + rng_->Uniform(spread));
-    expected_[name] = content;
+    expected_[name] = {"FED", content};
     EXPECT_TRUE(up->server()->Deposit("src", name, content).ok());
     return name;
   }
@@ -245,35 +240,11 @@ class PartitionE2ETest : public ::testing::TestWithParam<int> {
     while (clock_->Now() < deadline) loop_->RunFor(10 * kMillisecond);
   }
 
-  /// Post-mortem audit of one downstream's receipt DB: every ingested
-  /// name unique, expected, payload intact. Returns the names seen.
+  /// Post-mortem audit of one downstream's receipt DB (the shared
+  /// oracle): every ingested name unique, expected, payload intact.
+  /// Returns the names seen.
   std::set<std::string> AuditExactlyOnce(Downstream* down) {
-    LocalFileSystem fs;
-    auto db = ReceiptDatabase::Open(&fs, down->root() + "/db");
-    EXPECT_TRUE(db.ok()) << db.status();
-    std::set<std::string> seen;
-    if (!db.ok()) return seen;
-    for (FileId id : (*db)->FilesInFeed("FED")) {
-      auto receipt = (*db)->GetArrival(id);
-      EXPECT_TRUE(receipt.ok()) << receipt.status();
-      if (!receipt.ok()) continue;
-      EXPECT_TRUE(seen.insert(receipt->name).second)
-          << "name ingested twice: " << receipt->name << " (seed " << seed_
-          << ")";
-      auto it = expected_.find(receipt->name);
-      EXPECT_NE(it, expected_.end())
-          << "unexpected file: " << receipt->name << " (seed " << seed_
-          << ")";
-      if (it == expected_.end()) continue;
-      auto staged = fs.ReadFile(receipt->staged_path);
-      EXPECT_TRUE(staged.ok()) << receipt->staged_path << ": "
-                               << staged.status();
-      if (staged.ok()) {
-        EXPECT_EQ(*staged, it->second) << receipt->name;
-      }
-    }
-    EXPECT_EQ((*db)->ArrivalCount(), seen.size());
-    return seen;
+    return audit::AuditReceiptDb(&fs_, down->root() + "/db", expected_);
   }
 
   std::string root_;
@@ -283,7 +254,7 @@ class PartitionE2ETest : public ::testing::TestWithParam<int> {
   LocalFileSystem fs_;
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<Logger> logger_;
-  std::map<std::string, std::string> expected_;
+  audit::Expected expected_;
 };
 
 /// One tracked peer with fast health thresholds (tests only; production
