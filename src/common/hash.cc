@@ -1,41 +1,69 @@
 #include "common/hash.h"
 
 #include <array>
+#include <atomic>
 
 namespace bistro {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 (Kounavis & Berry 2005): table[0] is the classic bytewise
+// table of the reflected IEEE polynomial; table[k][i] is the CRC of byte
+// i followed by k zero bytes, so eight lookups fold eight input bytes per
+// step and produce exactly the bytewise values.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
-  return table;
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+std::atomic<uint64_t> crc_bytes{0};
+
+// Little-endian load independent of host byte order (compiles to one
+// load on little-endian hosts).
+uint32_t Load32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  const auto& table = CrcTable();
+  crc_bytes.fetch_add(n, std::memory_order_relaxed);
+  const CrcTables& t = kCrcTables;
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    uint32_t lo = Load32(p) ^ c;
+    uint32_t hi = Load32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
 uint32_t Crc32(std::string_view s) { return Crc32(s.data(), s.size()); }
+
+uint64_t Crc32BytesTotal() {
+  return crc_bytes.load(std::memory_order_relaxed);
+}
 
 uint64_t Fnv1a64(std::string_view s) {
   uint64_t h = 0xcbf29ce484222325ull;

@@ -263,7 +263,7 @@ class LzCodec : public Codec {
 
 // Codecs are stateless process-wide singletons, so their activity totals
 // are process-wide too. AttachCodecMetrics() bridges these raw atomics
-// into a per-registry view by pushing deltas from a collect hook.
+// into a per-registry view (BridgeProcessCounter).
 struct CodecTotals {
   std::atomic<uint64_t> compress_calls{0};
   std::atomic<uint64_t> compress_bytes_in{0};
@@ -297,43 +297,23 @@ Result<std::string> Codec::Decompress(std::string_view input) const {
 }
 
 void AttachCodecMetrics(MetricsRegistry* registry) {
-  struct Counters {
-    Counter* compress_calls;
-    Counter* compress_bytes_in;
-    Counter* compress_bytes_out;
-    Counter* decompress_calls;
-    Counter* decompress_failures;
-    CodecTotals last;  // totals already pushed into this registry
+  CodecTotals& t = Totals();
+  auto bridge = [registry](const char* name, const char* help,
+                           const std::atomic<uint64_t>& total) {
+    BridgeProcessCounter(registry, name, help, [&total] {
+      return total.load(std::memory_order_relaxed);
+    });
   };
-  auto c = std::make_shared<Counters>();
-  c->compress_calls = registry->GetCounter(
-      "bistro_codec_compress_calls_total", "Blocks compressed (all codecs)");
-  c->compress_bytes_in = registry->GetCounter(
-      "bistro_codec_compress_bytes_in_total", "Raw bytes given to Compress");
-  c->compress_bytes_out = registry->GetCounter(
-      "bistro_codec_compress_bytes_out_total",
-      "Framed bytes produced by Compress");
-  c->decompress_calls = registry->GetCounter(
-      "bistro_codec_decompress_calls_total", "Blocks decompressed");
-  c->decompress_failures = registry->GetCounter(
-      "bistro_codec_decompress_failures_total",
-      "Decompress calls that returned an error");
-  registry->AddCollectHook([c] {
-    CodecTotals& t = Totals();
-    auto push = [](std::atomic<uint64_t>& now, std::atomic<uint64_t>& seen,
-                   Counter* counter) {
-      uint64_t cur = now.load(std::memory_order_relaxed);
-      uint64_t prev = seen.exchange(cur, std::memory_order_relaxed);
-      if (cur > prev) counter->Increment(cur - prev);
-    };
-    push(t.compress_calls, c->last.compress_calls, c->compress_calls);
-    push(t.compress_bytes_in, c->last.compress_bytes_in, c->compress_bytes_in);
-    push(t.compress_bytes_out, c->last.compress_bytes_out,
-         c->compress_bytes_out);
-    push(t.decompress_calls, c->last.decompress_calls, c->decompress_calls);
-    push(t.decompress_failures, c->last.decompress_failures,
-         c->decompress_failures);
-  });
+  bridge("bistro_codec_compress_calls_total", "Blocks compressed (all codecs)",
+         t.compress_calls);
+  bridge("bistro_codec_compress_bytes_in_total", "Raw bytes given to Compress",
+         t.compress_bytes_in);
+  bridge("bistro_codec_compress_bytes_out_total",
+         "Framed bytes produced by Compress", t.compress_bytes_out);
+  bridge("bistro_codec_decompress_calls_total", "Blocks decompressed",
+         t.decompress_calls);
+  bridge("bistro_codec_decompress_failures_total",
+         "Decompress calls that returned an error", t.decompress_failures);
 }
 
 Result<CodecKind> CodecKindFromName(std::string_view name) {

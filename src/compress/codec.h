@@ -39,8 +39,8 @@ class Codec {
 
 /// Registers process-wide codec counters (calls, bytes in/out, failures)
 /// in `registry`. Codecs are process-wide singletons, so their raw totals
-/// are process-wide too; each attached registry receives deltas from the
-/// moment of attachment via a collect hook.
+/// are process-wide too; each attached registry receives them through a
+/// collect hook (BridgeProcessCounter).
 void AttachCodecMetrics(MetricsRegistry* registry);
 
 /// Returns the process-wide codec instance for `kind`.

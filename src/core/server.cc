@@ -99,6 +99,10 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
   scheduler->AttachMetrics(server->metrics_);
   transport->AttachMetrics(server->metrics_);
   AttachCodecMetrics(server->metrics_);
+  BridgeProcessCounter(server->metrics_, "bistro_crc_bytes_total",
+                       "Bytes checksummed by CRC32 in this process "
+                       "(all callers)",
+                       Crc32BytesTotal);
   server->delivery_ = std::make_unique<DeliveryEngine>(
       loop, server->registry_.get(), server->receipts_.get(), fs, transport,
       scheduler, invoker, logger, config.delivery, server->options_.engine,
@@ -176,7 +180,7 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
 
 Status BistroServer::Deposit(const std::string& source,
                              const std::string& filename,
-                             std::string content) {
+                             std::string_view content) {
   std::string landing_dir = path::Join(options_.landing_root, source);
   std::string landing_path = path::Join(landing_dir, filename);
   BISTRO_RETURN_IF_ERROR(fs_->WriteFile(landing_path, content));
@@ -342,10 +346,8 @@ Status BistroServer::HandleMessage(const Message& msg) {
       // An upstream Bistro server (or source agent) pushed a file: it
       // enters our pipeline exactly like a locally deposited file. A
       // checksum mismatch NACKs the delivery so the upstream retries.
-      if (msg.payload_crc != 0 && Crc32(msg.payload) != msg.payload_crc) {
-        return Status::Corruption("payload crc mismatch: " + msg.name);
-      }
-      return Deposit("upstream", msg.name, msg.payload.str());
+      BISTRO_RETURN_IF_ERROR(VerifyPayloadCrc(msg));
+      return Deposit("upstream", msg.name, msg.payload);
     case MessageType::kEndOfBatch:
       SourceEndOfBatch(msg.feed, msg.batch_time);
       return Status::OK();

@@ -94,7 +94,7 @@ class BistroServer : public Endpoint {
   /// §4.1): writes the file into the landing zone and ingests it
   /// immediately — no directory polling anywhere on the path.
   Status Deposit(const std::string& source, const std::string& filename,
-                 std::string content);
+                 std::string_view content);
 
   /// Source end-of-batch marker for a feed (§4.1 punctuation).
   void SourceEndOfBatch(const FeedName& feed, TimePoint batch_time);

@@ -10,6 +10,7 @@ ArchiverEndpoint::ArchiverEndpoint(FileSystem* fs, std::string root)
 Status ArchiverEndpoint::HandleMessage(const Message& msg) {
   switch (msg.type) {
     case MessageType::kFileData: {
+      BISTRO_RETURN_IF_ERROR(VerifyPayloadCrc(msg));
       std::string dest;
       if (msg.data_time != 0) {
         CivilTime c = ToCivil(msg.data_time);

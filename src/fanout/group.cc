@@ -17,15 +17,11 @@ void GroupRelay::AddMember(const std::string& name, Endpoint* target) {
 
 Status GroupRelay::HandleMessage(const Message& msg) {
   if (msg.type == MessageType::kHeartbeat) return Status::OK();
-  if (msg.type == MessageType::kFileData && msg.payload_crc != 0 &&
-      Crc32(msg.payload) != msg.payload_crc) {
-    // End-to-end integrity at the fan-in point: a payload corrupted in
-    // flight must NACK here, before it touches member state — otherwise
-    // every member rejects it and racks up failures toward a straggler
-    // flag it never earned.
-    return Status::Corruption("group " + group_ +
-                              ": payload crc mismatch: " + msg.name);
-  }
+  // End-to-end integrity at the fan-in point: a payload corrupted in
+  // flight must NACK here, before it touches member state — otherwise
+  // every member rejects it and racks up failures toward a straggler flag
+  // it never earned.
+  BISTRO_RETURN_IF_ERROR(VerifyPayloadCrc(msg));
   if (msg.type == MessageType::kEndOfBatch ||
       msg.type == MessageType::kSourceNotify) {
     // Batch markers carry no file: best-effort to current members, never

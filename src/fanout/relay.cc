@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
 #include "common/strings.h"
 
 namespace bistro {
@@ -81,15 +80,11 @@ Status RelayNode::HandleMessage(const Message& msg) {
     }
     return Status::OK();
   }
-  if (msg.type == MessageType::kFileData && msg.payload_crc != 0 &&
-      Crc32(msg.payload) != msg.payload_crc) {
-    // Verify before spool: acking a payload corrupted in flight would
-    // durably poison the spool — every child rejects the forward forever
-    // while the upstream, already acked, never resends. NACK instead so
-    // the upstream's retry carries a clean copy.
-    return Status::Corruption("relay " + name_ +
-                              ": payload crc mismatch: " + msg.name);
-  }
+  // Verify before spool: acking a payload corrupted in flight would
+  // durably poison the spool — every child rejects the forward forever
+  // while the upstream, already acked, never resends. NACK instead so the
+  // upstream's retry carries a clean copy.
+  BISTRO_RETURN_IF_ERROR(VerifyPayloadCrc(msg));
   ++received_;
   if (m_received_ != nullptr) m_received_->Increment();
   uint64_t seq = ++seq_;

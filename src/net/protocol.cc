@@ -41,37 +41,64 @@ void PutString(std::string* out, std::string_view s) {
   out->append(s.data(), s.size());
 }
 
-bool GetString(std::string_view* in, std::string* s) {
+bool GetView(std::string_view* in, std::string_view* s) {
   uint64_t len;
   if (!GetVarint(in, &len) || in->size() < len) return false;
-  s->assign(in->data(), len);
+  *s = in->substr(0, len);
   in->remove_prefix(len);
+  return true;
+}
+
+bool GetString(std::string_view* in, std::string* s) {
+  std::string_view v;
+  if (!GetView(in, &v)) return false;
+  s->assign(v);
   return true;
 }
 }  // namespace
 
-std::string EncodeMessage(const Message& msg) {
-  std::string body;
-  body.push_back(static_cast<char>(msg.type));
-  PutVarint(&body, msg.file_id);
-  PutString(&body, msg.feed);
-  PutString(&body, msg.name);
-  PutString(&body, msg.dest_path);
-  PutString(&body, msg.payload);
-  PutVarint(&body, msg.payload_crc);
-  PutVarint(&body, ZigZag(msg.data_time));
-  PutVarint(&body, ZigZag(msg.batch_time));
-  PutVarint(&body, msg.batch_count);
-  PutVarint(&body, msg.net_seq);
-  PutVarint(&body, msg.ack_code);
-  std::string out;
-  out.reserve(body.size() + 8);
-  PutVarint(&out, body.size());
-  uint32_t crc = Crc32(body);
+EncodedFrame EncodeFrame(const Message& msg) {
+  const bool flagged = msg.payload_crc != 0;
+  // Body bytes before the payload; they move into `head` below, after
+  // the length prefix and CRC that depend on the whole body.
+  std::string fields;
+  fields.push_back(static_cast<char>(static_cast<uint8_t>(msg.type) |
+                                     (flagged ? kPayloadCrcFlag : 0)));
+  PutVarint(&fields, msg.file_id);
+  PutString(&fields, msg.feed);
+  PutString(&fields, msg.name);
+  PutString(&fields, msg.dest_path);
+  PutVarint(&fields, msg.payload.size());
+  EncodedFrame frame;
+  frame.payload = msg.payload;
+  std::string& tail = frame.tail;
+  PutVarint(&tail, msg.payload_crc);
+  PutVarint(&tail, ZigZag(msg.data_time));
+  PutVarint(&tail, ZigZag(msg.batch_time));
+  PutVarint(&tail, msg.batch_count);
+  PutVarint(&tail, msg.net_seq);
+  PutVarint(&tail, msg.ack_code);
+
+  std::string_view payload = msg.payload;
+  uint32_t crc = Crc32(fields);
+  if (!flagged) crc = Crc32(payload.data(), payload.size(), crc);
+  crc = Crc32(tail.data(), tail.size(), crc);
+  frame.head.reserve(fields.size() + 14);
+  PutVarint(&frame.head, fields.size() + payload.size() + tail.size());
   char crc_buf[4];
   std::memcpy(crc_buf, &crc, 4);
-  out.append(crc_buf, 4);
-  out += body;
+  frame.head.append(crc_buf, 4);
+  frame.head += fields;
+  return frame;
+}
+
+std::string EncodeMessage(const Message& msg) {
+  EncodedFrame frame = EncodeFrame(msg);
+  std::string out;
+  out.reserve(frame.size());
+  out += frame.head;
+  out += frame.payload.view();
+  out += frame.tail;
   return out;
 }
 
@@ -88,23 +115,27 @@ Result<Message> DecodeMessage(std::string_view data, size_t max_frame_bytes) {
   uint32_t crc;
   std::memcpy(&crc, data.data(), 4);
   data.remove_prefix(4);
-  std::string_view body = data.substr(0, len);
-  if (Crc32(body) != crc) return Status::Corruption("message: crc mismatch");
+  const std::string_view frame_body = data.substr(0, len);
+  if (frame_body.empty()) return Status::Corruption("message: empty body");
+  const uint8_t type_byte = static_cast<uint8_t>(frame_body.front());
+  const bool flagged = (type_byte & kPayloadCrcFlag) != 0;
+  if (!flagged && Crc32(frame_body) != crc) {
+    return Status::Corruption("message: crc mismatch");
+  }
   Message msg;
-  if (body.empty()) return Status::Corruption("message: empty body");
-  uint8_t type = static_cast<uint8_t>(body.front());
+  uint8_t type = static_cast<uint8_t>(type_byte & ~kPayloadCrcFlag);
   if (type < 1 || type > 6) return Status::Corruption("message: bad type");
   msg.type = static_cast<MessageType>(type);
+  std::string_view body = frame_body;
   body.remove_prefix(1);
   uint64_t u;
   if (!GetVarint(&body, &u)) return Status::Corruption("message: file_id");
   msg.file_id = u;
-  std::string payload;
+  std::string_view payload;
   if (!GetString(&body, &msg.feed) || !GetString(&body, &msg.name) ||
-      !GetString(&body, &msg.dest_path) || !GetString(&body, &payload)) {
+      !GetString(&body, &msg.dest_path) || !GetView(&body, &payload)) {
     return Status::Corruption("message: strings");
   }
-  msg.payload = std::move(payload);
   if (!GetVarint(&body, &u)) return Status::Corruption("message: payload_crc");
   msg.payload_crc = static_cast<uint32_t>(u);
   if (!GetVarint(&body, &u)) return Status::Corruption("message: data_time");
@@ -117,7 +148,28 @@ Result<Message> DecodeMessage(std::string_view data, size_t max_frame_bytes) {
   msg.net_seq = u;
   if (!GetVarint(&body, &u)) return Status::Corruption("message: ack_code");
   msg.ack_code = static_cast<uint32_t>(u);
+  if (flagged) {
+    // The flag promises an end-to-end payload check; without one the
+    // payload bytes would be covered by nothing.
+    if (msg.payload_crc == 0) {
+      return Status::Corruption("message: flagged frame without payload_crc");
+    }
+    size_t before = static_cast<size_t>(payload.data() - frame_body.data());
+    size_t after = before + payload.size();
+    uint32_t actual =
+        Crc32(frame_body.data() + after, frame_body.size() - after,
+              Crc32(frame_body.data(), before));
+    if (actual != crc) return Status::Corruption("message: crc mismatch");
+  }
+  msg.payload = std::string(payload);
   return msg;
+}
+
+Status VerifyPayloadCrc(const Message& msg) {
+  if (msg.payload_crc != 0 && Crc32(msg.payload) != msg.payload_crc) {
+    return Status::Corruption("payload crc mismatch: " + msg.name);
+  }
+  return Status::OK();
 }
 
 std::string EncodeBundle(const std::vector<Message>& msgs) {

@@ -112,13 +112,42 @@ struct Message {
   bool operator==(const Message&) const = default;
 };
 
+/// Wire frame: varint body length, 4-byte frame CRC, body. The body is
+/// the type byte, the fields, the payload and the trailing varints. When
+/// `payload_crc` is set the type byte carries kPayloadCrcFlag and the
+/// frame CRC covers the body except the payload bytes: the payload has
+/// its own end-to-end check (VerifyPayloadCrc at the endpoint), so one
+/// hop CRCs the payload once, not three times. Frames without a
+/// payload_crc (control messages) keep a whole-body CRC.
+inline constexpr uint8_t kPayloadCrcFlag = 0x80;
+
+/// One encoded frame as three segments — head bytes, the payload
+/// (shared, not copied) and tail bytes — whose concatenation is exactly
+/// EncodeMessage(msg). Lets a socket send the payload straight from the
+/// staged buffer with one gathered write.
+struct EncodedFrame {
+  std::string head;
+  SharedPayload payload;
+  std::string tail;
+
+  size_t size() const { return head.size() + payload.size() + tail.size(); }
+};
+
+EncodedFrame EncodeFrame(const Message& msg);
+
 /// Serializes a message to a CRC-framed binary blob.
 std::string EncodeMessage(const Message& msg);
 
-/// Parses a blob produced by EncodeMessage; verifies the CRC. Bodies
-/// larger than `max_frame_bytes` are rejected without allocating.
+/// Parses a blob produced by EncodeMessage; verifies the frame CRC (not
+/// the payload of a flagged frame: see VerifyPayloadCrc). Bodies larger
+/// than `max_frame_bytes` are rejected without allocating.
 Result<Message> DecodeMessage(std::string_view data,
                               size_t max_frame_bytes = kDefaultMaxFrameBytes);
+
+/// The end-to-end payload check every receiving endpoint runs before it
+/// accepts file bytes: Corruption when `payload_crc` is set and does not
+/// match the payload. Messages without a payload_crc pass.
+Status VerifyPayloadCrc(const Message& msg);
 
 /// Serializes several messages into one multi-message wire frame
 /// (varint count + concatenated EncodeMessage blobs). Used by the

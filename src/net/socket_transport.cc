@@ -237,8 +237,8 @@ void SocketTransport::Send(const std::string& endpoint, const Message& msg,
 
   Message framed = msg;  // cheap: payload bytes are shared
   framed.net_seq = peer.next_seq++;
-  std::string frame = EncodeMessage(framed);
-  if (conn->outq_bytes + frame.size() >
+  EncodedFrame frame = EncodeFrame(framed);
+  if (conn->outq.bytes() + frame.size() >
       static_cast<size_t>(options_.outbound_queue_bytes)) {
     if (m_queue_rejects_ != nullptr) m_queue_rejects_->Increment();
     FailCallback(done,
@@ -247,7 +247,7 @@ void SocketTransport::Send(const std::string& endpoint, const Message& msg,
   }
   peer.pending[framed.net_seq] = PendingSend{std::move(done), loop_->Now()};
   ArmAckSweep();
-  EnqueueFrame(conn, std::move(frame));
+  conn->outq.Push(std::move(frame));
   EnsureConnected(endpoint, &peer);
   if (conn->fd >= 0 && !conn->connecting) {
     Status s = FlushWrites(conn);
@@ -279,20 +279,24 @@ void SocketTransport::SendBundle(const std::string& endpoint,
     }
   }
 
-  // One contiguous write burst; each inner frame keeps its own sequence
-  // and callback, so per-file acks survive coalescing.
-  std::string burst;
+  // Frames queue back to back and leave in the same gathered writes; each
+  // keeps its own sequence and callback, so per-file acks survive
+  // coalescing.
+  std::vector<EncodedFrame> frames;
   std::vector<std::pair<uint64_t, SendCallback>> seqs;
+  frames.reserve(items.size());
   seqs.reserve(items.size());
+  size_t bytes = 0;
   uint64_t first_seq = peer.next_seq;
   for (BundleItem& item : items) {
     CountSend(item.msg.payload.size());
     Message framed = std::move(item.msg);
     framed.net_seq = peer.next_seq++;
-    burst += EncodeMessage(framed);
+    frames.push_back(EncodeFrame(framed));
+    bytes += frames.back().size();
     seqs.emplace_back(framed.net_seq, std::move(item.done));
   }
-  if (conn->outq_bytes + burst.size() >
+  if (conn->outq.bytes() + bytes >
       static_cast<size_t>(options_.outbound_queue_bytes)) {
     if (m_queue_rejects_ != nullptr) m_queue_rejects_->Increment();
     peer.next_seq = first_seq;  // nothing went on the wire
@@ -305,7 +309,7 @@ void SocketTransport::SendBundle(const std::string& endpoint,
     peer.pending[seq] = PendingSend{std::move(done), now};
   }
   ArmAckSweep();
-  EnqueueFrame(conn, std::move(burst));
+  for (EncodedFrame& frame : frames) conn->outq.Push(std::move(frame));
   EnsureConnected(endpoint, &peer);
   if (conn->fd >= 0 && !conn->connecting) {
     Status s = FlushWrites(conn);
@@ -315,30 +319,22 @@ void SocketTransport::SendBundle(const std::string& endpoint,
 
 // ------------------------------------------------------------- wire I/O
 
-void SocketTransport::EnqueueFrame(Conn* conn, std::string frame) {
-  conn->outq_bytes += frame.size();
-  conn->outq.push_back(std::move(frame));
-}
-
 Status SocketTransport::FlushWrites(Conn* conn) {
   while (!conn->outq.empty()) {
-    const std::string& frame = conn->outq.front();
-    size_t left = frame.size() - conn->out_head;
-    // SIGPIPE audit: this send() is the transport's ONLY write(2)-family
+    constexpr int kMaxIov = 64;
+    iovec iov[kMaxIov];
+    msghdr mh{};
+    mh.msg_iov = iov;
+    mh.msg_iovlen = static_cast<size_t>(conn->outq.Gather(iov, kMaxIov));
+    // SIGPIPE audit: this sendmsg() is the transport's ONLY write(2)-family
     // call (peer, inbound-ack and shutdown paths all funnel here), and
     // MSG_NOSIGNAL is mandatory — a reader that died mid-stream must
     // surface as EPIPE below (a retryable Unavailable) rather than
     // killing the process. Pinned by SocketTransportTest.
     // SigpipeSafeWhenReaderDiesMidStream.
-    ssize_t n = send(conn->fd, frame.data() + conn->out_head, left,
-                     MSG_NOSIGNAL);
+    ssize_t n = sendmsg(conn->fd, &mh, MSG_NOSIGNAL);
     if (n > 0) {
-      conn->out_head += static_cast<size_t>(n);
-      conn->outq_bytes -= static_cast<size_t>(n);
-      if (conn->out_head == frame.size()) {
-        conn->outq.pop_front();
-        conn->out_head = 0;
-      }
+      conn->outq.Consume(static_cast<size_t>(n));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -349,7 +345,7 @@ Status SocketTransport::FlushWrites(Conn* conn) {
       return Status::OK();
     }
     if (n < 0 && errno == EINTR) continue;
-    return Status::Unavailable(Errno("send"));
+    return Status::Unavailable(Errno("sendmsg"));
   }
   if (conn->want_write) {
     conn->want_write = false;
@@ -359,14 +355,15 @@ Status SocketTransport::FlushWrites(Conn* conn) {
 }
 
 bool SocketTransport::ReadReady(Conn* conn, Status* error) {
-  char buf[65536];
   for (;;) {
-    ssize_t n = read(conn->fd, buf, sizeof(buf));
+    // Read straight into the decoder's buffer: no staging copy.
+    std::span<char> space = conn->decoder.WritableSpace();
+    ssize_t n = read(conn->fd, space.data(), space.size());
     if (n > 0) {
       if (m_bytes_in_ != nullptr) {
         m_bytes_in_->Increment(static_cast<uint64_t>(n));
       }
-      Status fed = conn->decoder.Feed(std::string_view(buf, n));
+      Status fed = conn->decoder.Commit(static_cast<size_t>(n));
       if (!fed.ok()) {
         // A framing error is unrecoverable on a stream: drop the
         // connection (Unavailable to in-flight sends; the poison cause
@@ -545,9 +542,7 @@ void SocketTransport::DropPeerConn(const std::string& name, Peer* peer,
   conn->established = false;
   conn->want_write = false;
   conn->decoder = MessageStreamDecoder(options_.max_frame_bytes);
-  conn->outq.clear();
-  conn->out_head = 0;
-  conn->outq_bytes = 0;
+  conn->outq = FrameQueue();
 
   // Every in-flight send dies with the connection. Transport-level
   // failures surface as Unavailable (retryable); anything already more
@@ -745,7 +740,7 @@ void SocketTransport::DispatchInbound(Conn* conn, const Message& msg) {
   ack.feed = msg.feed;
   ack.ack_code = static_cast<uint32_t>(handled.code());
   if (!handled.ok()) ack.name = std::string(handled.message());
-  EnqueueFrame(conn, EncodeMessage(ack));
+  conn->outq.Push(EncodeFrame(ack));
   Status s = FlushWrites(conn);
   if (!s.ok()) DropInbound(conn->fd);
 }
@@ -822,7 +817,7 @@ SocketTransport::PeerNetStats SocketTransport::GetPeerStats(
   }
   stats.last_ack_age =
       peer.last_ack_at == 0 ? -1 : loop_->Now() - peer.last_ack_at;
-  stats.queued_bytes = conn != nullptr ? conn->outq_bytes : 0;
+  stats.queued_bytes = conn != nullptr ? conn->outq.bytes() : 0;
   stats.pending_acks = peer.pending.size();
   return stats;
 }

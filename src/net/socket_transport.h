@@ -1,7 +1,6 @@
 #ifndef BISTRO_NET_SOCKET_TRANSPORT_H_
 #define BISTRO_NET_SOCKET_TRANSPORT_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,14 +24,16 @@ namespace bistro {
 /// deployments use SimTransport).
 ///
 /// Sending. Each outbound message is assigned a per-peer `net_seq`,
-/// framed with EncodeMessage, and appended to the peer's outbound queue;
+/// framed with EncodeFrame, and appended to the peer's outbound queue as
+/// {head, payload reference, tail} — the payload is never copied in user
+/// space; one gathered sendmsg(2) writes many queued segments at once;
 /// the completion callback fires when the remote side's kAck for that
 /// sequence arrives (carrying the remote HandleMessage status), when the
 /// ack times out, or when the connection drops — the latter two always as
 /// Unavailable, so the delivery engine's retry/backoff/dead-letter
 /// machinery treats socket trouble exactly like a flaky simulated link.
-/// SendBundle concatenates the frames into one queue entry (one write
-/// burst) but keeps per-item sequences and callbacks.
+/// SendBundle queues its items' frames back to back (they leave in the
+/// same gathered writes) but keeps per-item sequences and callbacks.
 ///
 /// Receiving. An accepting transport hands every non-ack inbound message
 /// to the endpoint set with SetInboundEndpoint (a federated downstream
@@ -167,11 +168,7 @@ class SocketTransport : public Transport {
     bool established = false;      // FinishConnect completed on this fd
     bool want_write = false;       // POLLOUT interest currently enabled
     MessageStreamDecoder decoder;
-    /// Outbound frames; the head entry may be partially written
-    /// (out_head bytes already on the wire).
-    std::deque<std::string> outq;
-    size_t out_head = 0;
-    size_t outq_bytes = 0;
+    FrameQueue outq;
 
     explicit Conn(size_t max_frame_bytes) : decoder(max_frame_bytes) {}
   };
@@ -222,7 +219,6 @@ class SocketTransport : public Transport {
   /// Writes queued frames until EAGAIN or empty; adjusts POLLOUT
   /// interest. Errors mean the connection died (caller tears it down).
   Status FlushWrites(Conn* conn);
-  void EnqueueFrame(Conn* conn, std::string frame);
   /// Reads until EAGAIN; returns false when the connection died (caller
   /// must tear it down).
   bool ReadReady(Conn* conn, Status* error);

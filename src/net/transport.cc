@@ -1,7 +1,5 @@
 #include "net/transport.h"
 
-#include "common/hash.h"
-
 namespace bistro {
 
 void Transport::AttachMetrics(MetricsRegistry* registry) {
@@ -231,9 +229,9 @@ Status FileSinkEndpoint::HandleMessage(const Message& msg) {
   if (failing_) return Status::Unavailable("subscriber failing");
   switch (msg.type) {
     case MessageType::kFileData: {
-      if (msg.payload_crc != 0 && Crc32(msg.payload) != msg.payload_crc) {
+      if (Status intact = VerifyPayloadCrc(msg); !intact.ok()) {
         ++corrupt_rejected_;
-        return Status::Corruption("payload crc mismatch: " + msg.name);
+        return intact;
       }
       if (msg.file_id != 0) {
         if (!delivered_ids_.insert(msg.file_id).second) {

@@ -155,4 +155,16 @@ size_t MetricsRegistry::size() const {
   return metrics_.size();
 }
 
+void BridgeProcessCounter(MetricsRegistry* registry, const std::string& name,
+                          const std::string& help,
+                          std::function<uint64_t()> read) {
+  Counter* counter = registry->GetCounter(name, help);
+  auto seen = std::make_shared<std::atomic<uint64_t>>(0);
+  registry->AddCollectHook([counter, seen, read = std::move(read)] {
+    uint64_t cur = read();
+    uint64_t prev = seen->exchange(cur, std::memory_order_relaxed);
+    if (cur > prev) counter->Increment(cur - prev);
+  });
+}
+
 }  // namespace bistro

@@ -153,6 +153,14 @@ class MetricsRegistry {
   std::vector<std::function<void()>> hooks_;
 };
 
+/// Bridges a process-wide monotonic total kept outside any registry (the
+/// codecs' and the CRC kernel's raw atomics) into counter `name` of
+/// `registry`: a collect hook pushes whatever `read()` grew by since the
+/// previous collect, starting from zero.
+void BridgeProcessCounter(MetricsRegistry* registry, const std::string& name,
+                          const std::string& help,
+                          std::function<uint64_t()> read);
+
 }  // namespace bistro
 
 #endif  // BISTRO_OBS_METRICS_H_

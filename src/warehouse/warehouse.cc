@@ -8,6 +8,7 @@ namespace bistro {
 Status StreamWarehouse::HandleMessage(const Message& msg) {
   switch (msg.type) {
     case MessageType::kFileData: {
+      BISTRO_RETURN_IF_ERROR(VerifyPayloadCrc(msg));
       // Files without a data timestamp go to the epoch partition rather
       // than being dropped (they still carry rows).
       TimePoint start = PartitionStart(msg.data_time);

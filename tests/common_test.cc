@@ -201,6 +201,55 @@ TEST(HashTest, Crc32KnownVector) {
   EXPECT_EQ(Crc32(""), 0u);
 }
 
+// Bit-serial CRC32 (reflected IEEE polynomial), one bit per step: the
+// definition the table-driven kernel must reproduce.
+uint32_t BitSerialCrcStep(uint32_t state, uint8_t byte) {
+  state ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    state = (state >> 1) ^ (0xEDB88320u & (0u - (state & 1u)));
+  }
+  return state;
+}
+
+TEST(HashTest, Crc32MatchesBitSerialReference) {
+  Rng rng(2005);
+  std::string buf(1100 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  const uint32_t seeds[] = {0, static_cast<uint32_t>(rng.Next()),
+                            static_cast<uint32_t>(rng.Next())};
+  // Every length 0..1100 at every start offset 0..7 covers each
+  // alignment and every tail length of the 8-byte main loop.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (uint32_t seed : seeds) {
+      uint32_t state = seed ^ 0xFFFFFFFFu;
+      for (size_t len = 0; len <= 1100; ++len) {
+        ASSERT_EQ(Crc32(buf.data() + offset, len, seed), state ^ 0xFFFFFFFFu)
+            << "offset=" << offset << " len=" << len << " seed=" << seed;
+        state =
+            BitSerialCrcStep(state, static_cast<uint8_t>(buf[offset + len]));
+      }
+    }
+  }
+}
+
+TEST(HashTest, Crc32ChainsThroughSeed) {
+  Rng rng(8);
+  for (int round = 0; round < 200; ++round) {
+    std::string a = rng.AlnumString(rng.Uniform(300));
+    std::string b = rng.AlnumString(rng.Uniform(300));
+    EXPECT_EQ(Crc32(b.data(), b.size(), Crc32(a)), Crc32(a + b))
+        << "|a|=" << a.size() << " |b|=" << b.size();
+  }
+}
+
+TEST(HashTest, Crc32CountsEveryByteOnce) {
+  uint64_t before = Crc32BytesTotal();
+  std::string data(1000, 'x');
+  Crc32(data);
+  Crc32(data.data(), 10, Crc32(data.data(), 90));
+  EXPECT_EQ(Crc32BytesTotal() - before, 1100u);
+}
+
 TEST(HashTest, Fnv1aDistinct) {
   EXPECT_NE(Fnv1a64("a"), Fnv1a64("b"));
   EXPECT_EQ(Fnv1a64("feed"), Fnv1a64("feed"));

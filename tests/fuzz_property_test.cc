@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "analyzer/infer.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "config/parser.h"
@@ -480,11 +481,40 @@ TEST_P(FrameFuzzTest, BitFlipsAreDetectedOrYieldAValidParse) {
         static_cast<uint8_t>(wire[pos]) ^ (1u << rng.Uniform(8)));
     auto decoded = DecodeMessage(wire);
     // A flip in the varint length prefix can reshape the frame arbitrarily;
-    // everywhere else the CRC catches it. Either way: clean status, no
-    // crash, and errors are Corruption (retry machinery treats them as
-    // poison, not transient).
+    // everywhere else the frame CRC catches it, except inside the payload
+    // of a frame that carries payload_crc, which decodes and is left to
+    // the endpoint's VerifyPayloadCrc (see the test below). Either way:
+    // clean status, no crash, and errors are Corruption (retry machinery
+    // treats them as poison, not transient).
     if (!decoded.ok()) {
       EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+    }
+  }
+}
+
+// ProtocolTest's "never a silent wrong message", end to end: with the
+// true payload_crc on board (as the delivery engine always sends it), no
+// single bit flip anywhere in a frame yields a message that both decodes
+// and passes the endpoint's payload check yet differs from the one sent.
+TEST_P(FrameFuzzTest, BitFlipsNeverPassDecodeAndPayloadCheckAsAWrongMessage) {
+  Rng rng(GetParam() * 401);
+  for (int round = 0; round < 100; ++round) {
+    Message sent = RandomMessage(&rng);
+    sent.payload_crc = Crc32(sent.payload);
+    std::string wire = EncodeMessage(sent);
+    for (int flip = 0; flip < 20; ++flip) {
+      std::string bad = wire;
+      size_t pos = rng.Uniform(bad.size());
+      bad[pos] = static_cast<char>(static_cast<uint8_t>(bad[pos]) ^
+                                   (1u << rng.Uniform(8)));
+      auto decoded = DecodeMessage(bad);
+      if (!decoded.ok()) {
+        EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+        continue;
+      }
+      if (VerifyPayloadCrc(*decoded).ok()) {
+        EXPECT_EQ(*decoded, sent) << "silent wrong message, flip at " << pos;
+      }
     }
   }
 }

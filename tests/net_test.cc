@@ -7,11 +7,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <functional>
 #include <memory>
 
+#include "common/hash.h"
 #include "common/random.h"
+#include "common/logging.h"
 #include "common/strings.h"
+#include "fanout/relay.h"
+#include "kv/kvstore.h"
 #include "net/socket_transport.h"
 #include "net/transport.h"
 #include "sim/event_loop.h"
@@ -85,6 +90,171 @@ TEST(ProtocolTest, TruncationDetected) {
   for (size_t len = 0; len < wire.size(); len += 7) {
     EXPECT_FALSE(DecodeMessage(std::string_view(wire).substr(0, len)).ok());
   }
+}
+
+// Frames of SampleMessage() as the encoder wrote them before payload
+// frames carried kPayloadCrcFlag: with payload_crc 0 (the format every
+// control message still uses), and with payload_crc set and a whole-body
+// frame CRC (the records of a relay spool written by that encoder).
+constexpr char kGoldenUnflagged[] =
+    "725f73f15901b96008534e4d502e4350551a4350555f504f4c4c315f32303130303932"
+    "35303530322e74787426534e4d502e4350552f323031302f30392f32352f4350555f50"
+    "4f4c4c315f303530322e74787416736f6d652c6d6561737572656d656e742c726f7773"
+    "0a008088f9d2ccc3c80453030000";
+constexpr char kGoldenWholeBodyWithPayloadCrc[] =
+    "76be2b1a2b01b96008534e4d502e4350551a4350555f504f4c4c315f32303130303932"
+    "35303530322e74787426534e4d502e4350552f323031302f30392f32352f4350555f50"
+    "4f4c4c315f303530322e74787416736f6d652c6d6561737572656d656e742c726f7773"
+    "0aa38fb59f018088f9d2ccc3c80453030000";
+constexpr uint32_t kSamplePayloadCrc = 0x13ed47a3;
+
+std::string Unhex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+// SampleMessage() carrying its true end-to-end checksum, as the delivery
+// engine sends every staged file.
+Message SampleWithPayloadCrc() {
+  Message msg = SampleMessage();
+  msg.payload_crc = Crc32(msg.payload);
+  return msg;
+}
+
+// SampleMessage bodies are < 128 bytes: a one-byte length prefix, then
+// the 4-byte frame CRC, then the body.
+constexpr size_t kSampleBodyOffset = 5;
+
+TEST(ProtocolTest, UnflaggedFrameIsByteIdenticalToPreviousFormat) {
+  EXPECT_EQ(EncodeMessage(SampleMessage()), Unhex(kGoldenUnflagged));
+  ASSERT_EQ(Crc32(SampleMessage().payload), kSamplePayloadCrc);
+}
+
+TEST(ProtocolTest, PreviousFormatFrameWithPayloadCrcStillDecodes) {
+  auto decoded = DecodeMessage(Unhex(kGoldenWholeBodyWithPayloadCrc));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, SampleWithPayloadCrc());
+  EXPECT_TRUE(VerifyPayloadCrc(*decoded).ok());
+}
+
+TEST(ProtocolTest, FlaggedFrameRoundTripsAndSharesEncodedSegments) {
+  Message msg = SampleWithPayloadCrc();
+  EncodedFrame frame = EncodeFrame(msg);
+  // The payload segment aliases the message's buffer: no copy.
+  EXPECT_EQ(frame.payload.view().data(), msg.payload.view().data());
+  std::string wire = EncodeMessage(msg);
+  EXPECT_EQ(wire, frame.head + msg.payload.str() + frame.tail);
+  EXPECT_EQ(static_cast<uint8_t>(wire[kSampleBodyOffset]),
+            static_cast<uint8_t>(MessageType::kFileData) | kPayloadCrcFlag);
+  auto decoded = DecodeMessage(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, msg);
+}
+
+TEST(ProtocolTest, FlaggedFramePayloadFlipIsLeftToVerifyPayloadCrc) {
+  Message msg = SampleWithPayloadCrc();
+  std::string wire = EncodeMessage(msg);
+  size_t at = wire.find(msg.payload.view());
+  ASSERT_NE(at, std::string::npos);
+  for (size_t pos = at; pos < at + msg.payload.size(); ++pos) {
+    std::string bad = wire;
+    bad[pos] ^= static_cast<char>(1u << (pos % 8));
+    auto decoded = DecodeMessage(bad);
+    ASSERT_TRUE(decoded.ok()) << "pos " << pos << ": " << decoded.status();
+    EXPECT_NE(decoded->payload, msg.payload);
+    Status verified = VerifyPayloadCrc(*decoded);
+    EXPECT_TRUE(verified.IsCorruption()) << "pos " << pos << ": " << verified;
+  }
+}
+
+TEST(ProtocolTest, FlaggedFrameFlipOutsidePayloadIsRejectedAtDecode) {
+  Message msg = SampleWithPayloadCrc();
+  std::string wire = EncodeMessage(msg);
+  size_t at = wire.find(msg.payload.view());
+  ASSERT_NE(at, std::string::npos);
+  for (size_t pos = 0; pos < wire.size(); ++pos) {
+    if (pos >= at && pos < at + msg.payload.size()) continue;
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = wire;
+      bad[pos] ^= static_cast<char>(1u << bit);
+      EXPECT_FALSE(DecodeMessage(bad).ok())
+          << "flip at " << pos << " bit " << bit << " accepted";
+    }
+  }
+}
+
+TEST(ProtocolTest, FlaggedFrameWithoutPayloadCrcIsRejected) {
+  // A frame whose flag promises a payload check it does not carry, with a
+  // frame CRC that is valid under the flagged rule: only the rule can
+  // reject it.
+  Message msg = SampleMessage();
+  std::string wire = EncodeMessage(msg);
+  wire[kSampleBodyOffset] =
+      static_cast<char>(wire[kSampleBodyOffset] | kPayloadCrcFlag);
+  size_t at = wire.find(msg.payload.view());
+  ASSERT_NE(at, std::string::npos);
+  size_t after = at + msg.payload.size();
+  uint32_t crc =
+      Crc32(wire.data() + after, wire.size() - after,
+            Crc32(wire.data() + kSampleBodyOffset, at - kSampleBodyOffset));
+  std::memcpy(&wire[1], &crc, 4);
+  auto decoded = DecodeMessage(wire);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+  EXPECT_NE(decoded.status().message().find("payload_crc"), std::string::npos)
+      << decoded.status();
+}
+
+TEST(ProtocolTest, VerifyPayloadCrcChecksOnlyMessagesThatCarryOne) {
+  Message msg = SampleMessage();
+  EXPECT_TRUE(VerifyPayloadCrc(msg).ok());  // payload_crc 0: nothing to check
+  msg.payload_crc = Crc32(msg.payload);
+  EXPECT_TRUE(VerifyPayloadCrc(msg).ok());
+  msg.payload.mutable_str()[0] ^= 0x01;
+  EXPECT_TRUE(VerifyPayloadCrc(msg).IsCorruption());
+}
+
+// A relay spool record written by the earlier encoder (whole-body frame
+// CRC, payload_crc set) replays after an upgrade and reaches the child
+// intact through today's flagged frames.
+TEST(RelaySpoolCompatTest, RecordWrittenBeforeThePayloadCrcFlagReplays) {
+  SimClock clock(0);
+  EventLoop loop(&clock);
+  LoopbackTransport transport(&loop);
+  InMemoryFileSystem fs;
+  FileSinkEndpoint child(&fs, "/child");
+  transport.Register("child", &child);
+  Logger logger(&clock);
+  logger.SetMinLevel(LogLevel::kError);
+  {
+    auto spool = KvStore::Open(&fs, "/spool");
+    ASSERT_TRUE(spool.ok()) << spool.status();
+    ASSERT_TRUE((*spool)
+                    ->Apply({KvStore::Write::Put("seq", "1"),
+                             KvStore::Write::Put(
+                                 "m/0000000000000001",
+                                 Unhex(kGoldenWholeBodyWithPayloadCrc)),
+                             KvStore::Write::Put("w/0000000000000001",
+                                                 "child")})
+                    .ok());
+  }
+  fanout::RelayNode::Options options;
+  options.spool_dir = "/spool";
+  auto relay = fanout::RelayNode::Open("r", {"child"}, &fs, &transport,
+                                       &loop, &logger, options);
+  ASSERT_TRUE(relay.ok()) << relay.status();
+  EXPECT_EQ((*relay)->replayed(), 1u);
+  loop.RunUntilIdle();
+  EXPECT_EQ(child.files_received(), 1u);
+  EXPECT_EQ(child.corrupt_rejected(), 0u);
+  EXPECT_EQ((*relay)->Backlog(), 0u);
+  auto data = fs.ReadFile("/child/SNMP.CPU/2010/09/25/CPU_POLL1_0502.txt");
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(*data, "some,measurement,rows\n");
 }
 
 // ---------------------------------------------------------------- Loopback
@@ -363,6 +533,239 @@ TEST(SocketTransportTest, PartialWritesAndInterleavedFramesKeepOrder) {
   }
 }
 
+// Frames of every shape the transport queues: a control frame (empty
+// payload), a file frame with payload_crc (flagged), one without.
+std::vector<Message> MixedFrames() {
+  std::vector<Message> msgs;
+  Message ack;
+  ack.type = MessageType::kAck;
+  ack.net_seq = 7;
+  msgs.push_back(ack);
+  Message file = SampleWithPayloadCrc();
+  file.payload = std::string(300, 'p');
+  file.payload_crc = Crc32(file.payload);
+  msgs.push_back(file);
+  msgs.push_back(SampleMessage());
+  msgs.push_back(ack);
+  return msgs;
+}
+
+// Drains `queue` the way FlushWrites does, with a writer that accepts
+// `budgets[i]` bytes on its i-th call (cycling): returns the bytes written.
+std::string DrainWithWriter(FrameQueue* queue, int max_iov,
+                            const std::vector<size_t>& budgets) {
+  std::string out;
+  for (size_t call = 0; !queue->empty(); ++call) {
+    iovec iov[8];
+    int n = queue->Gather(iov, max_iov);
+    EXPECT_GT(n, 0);
+    size_t budget = budgets[call % budgets.size()];
+    size_t wrote = 0;
+    for (int k = 0; k < n && wrote < budget; ++k) {
+      size_t take = std::min(budget - wrote, iov[k].iov_len);
+      out.append(static_cast<const char*>(iov[k].iov_base), take);
+      wrote += take;
+    }
+    size_t left = queue->bytes();
+    queue->Consume(wrote);
+    EXPECT_EQ(queue->bytes(), left - wrote);
+  }
+  return out;
+}
+
+// A write may stop at any byte: mid-head, mid-payload, mid-tail, or on a
+// frame boundary. Resuming from every one of those points must put the
+// exact EncodeMessage stream on the wire.
+TEST(FrameQueueTest, GatheredWritesResumeFromEveryByte) {
+  std::vector<Message> msgs = MixedFrames();
+  const std::string expect = EncodeMessageStream(msgs);
+  for (size_t first = 1; first < expect.size(); ++first) {
+    for (int max_iov : {2, 8}) {
+      FrameQueue queue;
+      for (const Message& msg : msgs) queue.Push(EncodeFrame(msg));
+      ASSERT_EQ(queue.bytes(), expect.size());
+      std::string got = DrainWithWriter(&queue, max_iov, {first, 5, 61});
+      ASSERT_EQ(got, expect) << "first write " << first << " iov " << max_iov;
+      EXPECT_EQ(queue.bytes(), 0u);
+    }
+  }
+}
+
+// Finds this process's TCP socket whose local port is `local_port` (the
+// transport keeps its fds private; the test shrinks one's send buffer).
+int FindSocketByLocalPort(uint16_t local_port) {
+  for (int fd = 3; fd < 4096; ++fd) {
+    sockaddr_in sin{};
+    socklen_t len = sizeof(sin);
+    if (getsockname(fd, reinterpret_cast<sockaddr*>(&sin), &len) == 0 &&
+        sin.sin_family == AF_INET && ntohs(sin.sin_port) == local_port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+// The real sendmsg path: a client socket with a tiny SO_SNDBUF writing to
+// a raw reader with a tiny receive window that reads in small random
+// chunks, so gathered writes stop at arbitrary offsets of 1 MiB frames
+// and of the small frames between them. Send and SendBundle interleave.
+TEST(SocketTransportTest, GatheredWritesThroughSmallBuffersKeepEveryByte) {
+  EventLoop loop(RealClock::Get());
+  int listener = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  int small = 4096;
+  setsockopt(listener, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(listener, 1), 0);
+  socklen_t alen = sizeof(addr);
+  getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &alen);
+
+  SocketTransport client(&loop, {});
+  client.AddPeer("raw", "127.0.0.1:" + std::to_string(ntohs(addr.sin_port)));
+  int completed = 0;
+  int failed = 0;
+  auto done = [&](const Status& s) {
+    completed++;
+    if (!s.ok()) failed++;
+  };
+  std::vector<Message> sent;
+  auto send_one = [&](Message msg) {
+    sent.push_back(msg);
+    client.Send("raw", msg, done);
+  };
+  Message hello;
+  hello.type = MessageType::kHeartbeat;
+  send_one(hello);
+
+  // Accept, then shrink the client's send buffer before the bulk traffic.
+  sockaddr_in peer{};
+  socklen_t plen = sizeof(peer);
+  int conn = -1;
+  for (int i = 0; i < 1000 && conn < 0; ++i) {
+    loop.RunFor(kMillisecond);
+    conn = accept4(listener, reinterpret_cast<sockaddr*>(&peer), &plen,
+                   SOCK_NONBLOCK | SOCK_CLOEXEC);
+  }
+  ASSERT_GE(conn, 0);
+  int client_fd = FindSocketByLocalPort(ntohs(peer.sin_port));
+  ASSERT_GE(client_fd, 0);
+  ASSERT_EQ(setsockopt(client_fd, SOL_SOCKET, SO_SNDBUF, &small,
+                       sizeof(small)),
+            0);
+
+  Rng rng(15);
+  auto big = [&](int i) {
+    Message msg;
+    msg.type = MessageType::kFileData;
+    msg.file_id = static_cast<FileId>(i);
+    msg.name = "big_" + std::to_string(i);
+    std::string& bytes = msg.payload.mutable_str();
+    bytes.resize((1u << 20) + rng.Uniform(4096));
+    for (char& c : bytes) c = static_cast<char>(rng.Uniform(256));
+    msg.payload_crc = Crc32(msg.payload);
+    return msg;
+  };
+  auto control = [&](int i) {
+    Message msg;
+    msg.type = MessageType::kEndOfBatch;
+    msg.feed = "F" + std::to_string(i);
+    msg.batch_count = static_cast<uint64_t>(i);
+    return msg;
+  };
+  for (int round = 0; round < 3; ++round) {
+    send_one(big(10 * round));
+    send_one(control(10 * round + 1));
+    std::vector<BundleItem> bundle;
+    for (Message msg : {control(10 * round + 2), big(10 * round + 3),
+                        control(10 * round + 4)}) {
+      sent.push_back(msg);
+      bundle.push_back(BundleItem{msg, done});
+    }
+    client.SendBundle("raw", std::move(bundle));
+    send_one(control(10 * round + 5));
+  }
+
+  // Read in small random chunks; ack every message as the remote side of
+  // the protocol would.
+  MessageStreamDecoder decoder;
+  std::vector<Message> got;
+  TimePoint deadline = RealClock::Get()->Now() + 20 * kSecond;
+  std::vector<char> chunk(4096);
+  while (completed < static_cast<int>(sent.size()) &&
+         RealClock::Get()->Now() < deadline) {
+    loop.RunFor(kMillisecond);
+    for (int reads = 0; reads < 8; ++reads) {
+      ssize_t n = read(conn, chunk.data(), 1 + rng.Uniform(chunk.size()));
+      if (n <= 0) break;
+      ASSERT_TRUE(decoder.Feed(std::string_view(chunk.data(), n)).ok());
+    }
+    while (auto msg = decoder.Next()) {
+      Message ack;
+      ack.type = MessageType::kAck;
+      ack.net_seq = msg->net_seq;
+      std::string wire = EncodeMessage(ack);
+      ASSERT_EQ(write(conn, wire.data(), wire.size()),
+                static_cast<ssize_t>(wire.size()));
+      got.push_back(std::move(*msg));
+    }
+  }
+  close(conn);
+  close(listener);
+  EXPECT_EQ(completed, static_cast<int>(sent.size()));
+  EXPECT_EQ(failed, 0);
+  ASSERT_EQ(got.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(got[i].net_seq, i + 1);  // wire order is send order
+    got[i].net_seq = 0;
+    EXPECT_EQ(got[i], sent[i]) << "message " << i;
+    EXPECT_TRUE(VerifyPayloadCrc(got[i]).ok()) << "message " << i;
+  }
+}
+
+// A queued frame references the sender's payload buffer instead of a
+// copy; mutating the message afterwards must detach (copy-on-write) and
+// leave the queued bytes as they were when sent.
+TEST(SocketTransportTest, MutatingAQueuedPayloadDoesNotChangeTheWire) {
+  EventLoop loop(RealClock::Get());
+  SocketTransport::Options server_opts;
+  server_opts.listen_address = "127.0.0.1:0";
+  SocketTransport server(&loop, server_opts);
+  CollectingEndpoint inbound;
+  server.SetInboundEndpoint(&inbound);
+  ASSERT_TRUE(server.Listen().ok());
+  SocketTransport client(&loop, {});
+  client.AddPeer("srv", "127.0.0.1:" + std::to_string(server.listen_port()));
+
+  Message msg;
+  msg.type = MessageType::kFileData;
+  msg.name = "cow";
+  msg.payload.mutable_str().assign(4u << 20, 'a');  // owned, writable
+  msg.payload_crc = Crc32(msg.payload);
+  const std::string original = msg.payload.str();
+  bool done = false;
+  Status result;
+  client.Send("srv", msg, [&](const Status& s) {
+    result = s;
+    done = true;
+  });
+  // 4 MiB cannot all be on the wire yet: the rest is still queued.
+  EXPECT_GT(client.GetPeerStats("srv").queued_bytes, 0u);
+  std::string& bytes = msg.payload.mutable_str();
+  bytes[0] = 'Z';
+  bytes[bytes.size() - 1] = 'Z';
+  PumpUntil(&loop, [&] { return done; });
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(result.ok()) << result;
+  ASSERT_EQ(inbound.messages.size(), 1u);
+  EXPECT_EQ(inbound.messages[0].payload.str(), original);
+  EXPECT_TRUE(VerifyPayloadCrc(inbound.messages[0]).ok());
+  EXPECT_NE(msg.payload.str(), original);
+}
+
 TEST(SocketTransportTest, SendBundleAcksEveryItem) {
   EventLoop loop(RealClock::Get());
   SocketTransport::Options server_opts;
@@ -546,7 +949,7 @@ TEST(SocketTransportTest, ReconnectsAfterPeerRestart) {
 
 // A reader that dies mid-stream turns our connection into a write to a
 // closed socket. Every write(2)-family call in the transport goes through
-// the single MSG_NOSIGNAL send() in FlushWrites, so the process survives
+// the single MSG_NOSIGNAL sendmsg() in FlushWrites, so the process survives
 // with a retryable error instead of dying on SIGPIPE. SIGPIPE is reset to
 // its default disposition here to prove the transport doesn't depend on
 // the embedding process ignoring it.

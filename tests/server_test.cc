@@ -7,7 +7,9 @@
 
 #include "common/strings.h"
 #include "config/parser.h"
+#include "common/hash.h"
 #include "core/server.h"
+#include "federation/federation.h"
 #include "vfs/memfs.h"
 
 namespace bistro {
@@ -365,6 +367,96 @@ TEST_F(ServerTest, ReceiptsSurviveServerRestart) {
   loop_->RunUntilIdle();
   // Startup backfill delivered the undelivered history.
   EXPECT_EQ(warehouse_->files_received(), 4u);
+}
+
+// ------------------------------------------------- federation inbound
+//
+// The downstream side of a federation hop dedupes redeliveries by name
+// before the payload check runs: first against the names it ingested
+// recently, then against the receipt DB (which outlives the endpoint).
+
+class FederationInboundTest : public ServerTest {
+ protected:
+  static constexpr char kName[] = "CPU_POLL1_201009250400.txt";
+
+  // A pushed file as an upstream server sends it: with its true
+  // end-to-end checksum.
+  static Message Pushed(std::string payload = "cpu,1\n") {
+    Message msg;
+    msg.type = MessageType::kFileData;
+    msg.file_id = 77;
+    msg.name = kName;
+    msg.payload_crc = Crc32(payload);
+    msg.payload = std::move(payload);
+    return msg;
+  }
+
+  static Message Corrupted() {
+    Message msg = Pushed();
+    msg.payload.mutable_str()[0] ^= 0x01;
+    return msg;
+  }
+
+  std::string StagedBytes() {
+    auto id = server_->receipts()->FindIdByName(kName);
+    if (!id.ok()) return "<no receipt>";
+    auto receipt = server_->receipts()->GetArrival(*id);
+    if (!receipt.ok()) return "<no arrival>";
+    auto bytes = fs_->ReadFile(receipt->staged_path);
+    return bytes.ok() ? *bytes : "<unreadable>";
+  }
+};
+
+TEST_F(FederationInboundTest, RedeliveryAfterIngestIsAbsorbedByRecentNames) {
+  FederationInbound inbound(server_.get(), logger_.get());
+  ASSERT_TRUE(inbound.HandleMessage(Pushed()).ok());
+  EXPECT_EQ(inbound.files_ingested(), 1u);
+  ASSERT_TRUE(inbound.HandleMessage(Pushed()).ok());
+  EXPECT_EQ(inbound.files_ingested(), 1u);
+  EXPECT_EQ(inbound.duplicates_absorbed(), 1u);
+  EXPECT_EQ(server_->receipts()->ArrivalCount(), 1u);
+}
+
+TEST_F(FederationInboundTest, ReceiptLookupAbsorbsRedeliveryToAFreshEndpoint) {
+  {
+    FederationInbound first(server_.get(), logger_.get());
+    ASSERT_TRUE(first.HandleMessage(Pushed()).ok());
+  }
+  // A new endpoint over the same server has no recent names: only the
+  // receipt DB knows the file arrived.
+  FederationInbound second(server_.get(), logger_.get());
+  ASSERT_TRUE(second.HandleMessage(Pushed()).ok());
+  EXPECT_EQ(second.files_ingested(), 0u);
+  EXPECT_EQ(second.duplicates_absorbed(), 1u);
+  EXPECT_EQ(server_->receipts()->ArrivalCount(), 1u);
+}
+
+TEST_F(FederationInboundTest, CorruptDuplicateIsAckedFromItsReceipt) {
+  FederationInbound inbound(server_.get(), logger_.get());
+  ASSERT_TRUE(inbound.HandleMessage(Pushed()).ok());
+  // Dedupe runs before the payload check: a damaged copy of a file that
+  // already arrived is acked (the upstream can stop resending) and never
+  // replaces the intact staged bytes.
+  Status s = inbound.HandleMessage(Corrupted());
+  EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(inbound.duplicates_absorbed(), 1u);
+  EXPECT_EQ(inbound.files_ingested(), 1u);
+  EXPECT_EQ(server_->receipts()->ArrivalCount(), 1u);
+  EXPECT_EQ(StagedBytes(), "cpu,1\n");
+}
+
+TEST_F(FederationInboundTest, CorruptFirstDeliveryIsNackedAndNotRemembered) {
+  FederationInbound inbound(server_.get(), logger_.get());
+  Status s = inbound.HandleMessage(Corrupted());
+  EXPECT_TRUE(s.IsCorruption()) << s;
+  EXPECT_EQ(inbound.files_ingested(), 0u);
+  EXPECT_EQ(server_->receipts()->ArrivalCount(), 0u);
+  // The clean retry is not mistaken for a duplicate: it ingests once.
+  ASSERT_TRUE(inbound.HandleMessage(Pushed()).ok());
+  EXPECT_EQ(inbound.files_ingested(), 1u);
+  EXPECT_EQ(inbound.duplicates_absorbed(), 0u);
+  EXPECT_EQ(server_->receipts()->ArrivalCount(), 1u);
+  EXPECT_EQ(StagedBytes(), "cpu,1\n");
 }
 
 }  // namespace
