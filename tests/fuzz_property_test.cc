@@ -5,7 +5,8 @@
 //  - random corpora rendered from random pattern templates are fully
 //    re-matched by their own discovered patterns;
 //  - WAL/KvStore state survives arbitrary crash points (prefix truncation
-//    never yields corruption errors, only a consistent earlier state).
+//    never yields corruption errors, only a consistent earlier state);
+//  - damaged codec frames decode to Corruption or to the original bytes.
 
 #include <algorithm>
 #include <climits>
@@ -17,6 +18,7 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/strings.h"
+#include "compress/codec.h"
 #include "config/parser.h"
 #include "kv/kvstore.h"
 #include "net/protocol.h"
@@ -520,6 +522,134 @@ TEST_P(FrameFuzzTest, BitFlipsNeverPassDecodeAndPayloadCheckAsAWrongMessage) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrameFuzzTest, ::testing::Range(1, 5));
+
+// ------------------------------------------------------------ codec fuzz
+//
+// Staged and warehoused files are expanded by AutoDecompress, and a
+// feed's landing zone can hold anything. Damaged codec frames must come
+// back as Corruption — never a crash, never an allocation sized by the
+// header alone, and never OK with bytes other than the ones compressed.
+
+std::string RandomCodecInput(Rng* rng) {
+  const size_t n = rng->Uniform(8192);
+  std::string out;
+  switch (rng->Uniform(3)) {
+    case 0:  // measurement rows
+      while (out.size() < n) {
+        out += "host" + std::to_string(rng->Uniform(200)) + ",cpu," +
+               std::to_string(rng->Uniform(10000000000ull)) + "\n";
+      }
+      break;
+    case 1:  // runs
+      while (out.size() < n) {
+        out.append(1 + rng->Uniform(300),
+                   static_cast<char>('a' + rng->Uniform(3)));
+      }
+      break;
+    default:
+      while (out.size() < n) out.push_back(static_cast<char>(rng->Uniform(256)));
+  }
+  out.resize(n);
+  return out;
+}
+
+/// `frame` with its declared original size replaced by `size`.
+std::string WithDeclaredSize(const std::string& frame, uint64_t size) {
+  size_t varint_end = 5;
+  while (static_cast<uint8_t>(frame[varint_end]) & 0x80) ++varint_end;
+  std::string out = frame.substr(0, 5);
+  for (; size >= 0x80; size >>= 7) {
+    out.push_back(static_cast<char>((size & 0x7F) | 0x80));
+  }
+  out.push_back(static_cast<char>(size));
+  return out + frame.substr(varint_end + 1);
+}
+
+/// AutoDecompress of a damaged frame: Corruption, or exactly `original`.
+/// Damage to the magic makes it plain data, which passes through as is.
+void ExpectCorruptionOrOriginal(const std::string& damaged,
+                                const std::string& original,
+                                const std::string& what) {
+  auto out = AutoDecompress(damaged);
+  if (!HasCodecFrame(damaged)) {
+    ASSERT_TRUE(out.ok()) << what;
+    EXPECT_EQ(*out, damaged) << what;
+  } else if (out.ok()) {
+    EXPECT_EQ(*out, original) << "wrong bytes returned as OK: " << what;
+  } else {
+    EXPECT_TRUE(out.status().IsCorruption()) << what << ": " << out.status();
+  }
+}
+
+class CodecFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CodecFuzzTest, BitFlipsAreCorruptionOrTheOriginalBytes) {
+  Rng rng(GetParam() * 503);
+  for (int round = 0; round < 60; ++round) {
+    const std::string input = RandomCodecInput(&rng);
+    for (CodecKind kind : {CodecKind::kLz, CodecKind::kRle}) {
+      const std::string frame = GetCodec(kind)->Compress(input);
+      for (int trial = 0; trial < 10; ++trial) {
+        std::string bad = frame;
+        const int flips = 1 + static_cast<int>(rng.Uniform(3));
+        for (int f = 0; f < flips; ++f) {
+          const size_t pos = rng.Uniform(bad.size());
+          bad[pos] = static_cast<char>(static_cast<uint8_t>(bad[pos]) ^
+                                       (1u << rng.Uniform(8)));
+        }
+        ExpectCorruptionOrOriginal(bad, input,
+                                   std::string(CodecKindName(kind)) + " flip");
+      }
+    }
+  }
+}
+
+TEST_P(CodecFuzzTest, TruncatedFramesAreCorruption) {
+  Rng rng(GetParam() * 509);
+  for (int round = 0; round < 60; ++round) {
+    const std::string input = RandomCodecInput(&rng);
+    for (CodecKind kind : {CodecKind::kLz, CodecKind::kRle}) {
+      const std::string frame = GetCodec(kind)->Compress(input);
+      for (int trial = 0; trial < 5; ++trial) {
+        const std::string cut = frame.substr(0, rng.Uniform(frame.size()));
+        auto out = AutoDecompress(cut);
+        if (!HasCodecFrame(cut)) continue;  // too short to be a frame
+        ASSERT_FALSE(out.ok()) << CodecKindName(kind) << " cut at "
+                               << cut.size() << " of " << frame.size();
+        EXPECT_TRUE(out.status().IsCorruption()) << out.status();
+      }
+    }
+  }
+}
+
+TEST_P(CodecFuzzTest, RandomDeclaredSizesAreCorruption) {
+  Rng rng(GetParam() * 521);
+  for (int round = 0; round < 60; ++round) {
+    const std::string input = RandomCodecInput(&rng);
+    for (CodecKind kind : {CodecKind::kLz, CodecKind::kRle}) {
+      const std::string frame = GetCodec(kind)->Compress(input);
+      for (int trial = 0; trial < 10; ++trial) {
+        uint64_t size;
+        switch (rng.Uniform(3)) {
+          case 0:  // near the truth
+            size = input.size() + rng.Uniform(64) - 32;
+            break;
+          case 1:  // one power of two, up to 2^63
+            size = uint64_t{1} << rng.Uniform(64);
+            break;
+          default:
+            size = rng.Next();
+        }
+        if (size == input.size()) continue;
+        auto out = AutoDecompress(WithDeclaredSize(frame, size));
+        ASSERT_FALSE(out.ok()) << CodecKindName(kind) << " declared " << size;
+        EXPECT_TRUE(out.status().IsCorruption()) << out.status();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzzTest, ::testing::Range(1, 5));
 
 TEST(FrameHardeningTest, HostileLengthPrefixIsRejectedBeforeAllocation) {
   // 10-byte varint claiming ~UINT64_MAX for the body length.

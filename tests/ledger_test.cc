@@ -3,6 +3,7 @@
 // a second server. Counts the payload bytes the hop runs through CRC32
 // and the payload-sized buffers the send path allocates — the per-byte
 // work the wire format and the zero-copy send queue are meant to bound.
+// The normalize layer's codec gets the same allocation count.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "common/hash.h"
 #include "common/random.h"
+#include "compress/codec.h"
 #include "config/parser.h"
 #include "core/server.h"
 #include "federation/federation.h"
@@ -24,12 +26,16 @@ namespace {
 constexpr size_t kBigAllocation = 32 << 10;
 thread_local bool g_counting = false;
 thread_local uint64_t g_big_allocated = 0;
+thread_local uint64_t g_big_allocations = 0;
 }  // namespace
 
 // Out of line: inlined into a caller, GCC would pair this malloc-backed
 // new with the free in delete and warn about a mismatch that is not one.
 __attribute__((noinline)) void* operator new(size_t n) {
-  if (g_counting && n >= kBigAllocation) g_big_allocated += n;
+  if (g_counting && n >= kBigAllocation) {
+    g_big_allocated += n;
+    ++g_big_allocations;
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -192,6 +198,47 @@ TEST(ByteLedgerTest, FederationHopChecksumsEachPayloadByteTwiceAndCopiesNoneOnSe
     }
   }
   EXPECT_TRUE(exported);
+}
+
+TEST(ByteLedgerTest, CompressAllocatesOnlyItsOutput) {
+  // The lz match table is per thread and reused, and the frame header and
+  // tokens go into one buffer: after the first call on a thread, a 1 MiB
+  // compress allocates its frame and nothing else, and a 4 KiB one
+  // allocates nothing big at all.
+  const Codec* lz = GetCodec(CodecKind::kLz);
+  Rng rng(16);
+  std::string random(1 << 20, '\0');
+  for (char& c : random) c = static_cast<char>(rng.Uniform(256));
+  std::string csv;
+  while (csv.size() < random.size()) {
+    csv += "host" + std::to_string(rng.Uniform(200)) + ",cpu," +
+           std::to_string(rng.Uniform(10000000000ull)) + "\n";
+  }
+  csv.resize(random.size());
+  (void)lz->Compress(csv.substr(0, 4096));  // warm-up: this thread's table
+
+  for (const std::string* input : {&random, &csv}) {
+    g_big_allocated = 0;
+    g_big_allocations = 0;
+    std::string frame;
+    {
+      CountingWindow window;
+      frame = lz->Compress(*input);
+    }
+    EXPECT_EQ(g_big_allocations, 1u);
+    EXPECT_GE(g_big_allocated, frame.size());
+    auto back = lz->Decompress(frame);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(*back, *input);
+
+    const std::string small = input->substr(0, 4096);
+    g_big_allocations = 0;
+    {
+      CountingWindow window;
+      frame = lz->Compress(small);
+    }
+    EXPECT_EQ(g_big_allocations, 0u);
+  }
 }
 
 }  // namespace
