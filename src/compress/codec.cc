@@ -29,8 +29,11 @@ char* PutVarint(char* p, uint64_t v) {
 }
 
 void PutVarint(std::string* out, uint64_t v) {
-  char buf[kMaxVarint];
-  out->append(buf, PutVarint(buf, v));
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
 }
 
 bool GetVarint(std::string_view* in, uint64_t* v) {
@@ -241,17 +244,15 @@ class LzHashHead {
   /// Returns the table and sets `*base` for a call over `n` bytes.
   static uint32_t* Claim(size_t n, uint32_t* base) {
     thread_local LzHashHead t;
-    if (t.slots_ == nullptr || n >= UINT32_MAX - t.next_base_) {
-      // First use on this thread, or the bases ran out: start over from
-      // an empty table. In one call over 4 GiB or more the slot values
-      // wrap, so positions past 4 GiB find candidates only by chance and
-      // that tail is stored mostly as literals; every candidate is still
-      // checked against the window and the input bytes.
-      if (t.slots_ == nullptr) {
-        t.slots_ = std::make_unique<uint32_t[]>(size_t{1} << kHashBits);
-      } else {
-        std::fill_n(t.slots_.get(), size_t{1} << kHashBits, 0u);
-      }
+    if (t.slots_ == nullptr) {
+      t.slots_ = std::make_unique<uint32_t[]>(kHashSize);  // zeroed
+    } else if (n >= UINT32_MAX - t.next_base_) {
+      // The bases ran out: start over from an empty table. In one call
+      // over 4 GiB or more the slot values wrap, so positions past 4 GiB
+      // find candidates only by chance and that tail is stored mostly as
+      // literals; every candidate is still checked against the window
+      // and the input bytes.
+      std::fill_n(t.slots_.get(), kHashSize, 0u);
       t.next_base_ = 1;
     }
     *base = t.next_base_;
@@ -260,8 +261,10 @@ class LzHashHead {
   }
 
  private:
+  static constexpr size_t kHashSize = size_t{1} << kHashBits;
+
   std::unique_ptr<uint32_t[]> slots_;
-  uint32_t next_base_ = 0;
+  uint32_t next_base_ = 1;  // slot value 0 is "empty" under every base
 };
 
 class LzCodec : public Codec {
