@@ -6,6 +6,10 @@
 
 #include <benchmark/benchmark.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/random.h"
 #include "common/strings.h"
 #include "compress/codec.h"
@@ -95,4 +99,21 @@ BENCHMARK(BM_Decompress)
     ->ArgsProduct({{1, 2}, {0, 1, 2}})
     ->ArgNames({"codec", "shape"});
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // glibc raises its mmap and trim thresholds as large blocks are freed,
+  // so whether a 1 MiB buffer is a fresh, page-faulted mmap or reused heap
+  // used to depend on which benchmarks ran earlier in the process. Pinning
+  // both where the dynamic rule tops out on 64-bit (mmap 32 MiB, trim
+  // twice that) gives every benchmark a long-running process's heap,
+  // whatever the order.
+  constexpr int kMmapThreshold = 32 << 20;
+  mallopt(M_MMAP_THRESHOLD, kMmapThreshold);
+  mallopt(M_TRIM_THRESHOLD, 2 * kMmapThreshold);
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}
