@@ -20,9 +20,7 @@
 //   BISTRO_BENCH_QUICK  non-empty -> smaller corpora (CI smoke mode)
 //   BISTRO_BENCH_OUT    JSON output path (default BENCH_analyzer.json)
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "analyzer/analyzer.h"
@@ -31,6 +29,7 @@
 #include "common/threadpool.h"
 #include "config/parser.h"
 #include "pattern/pattern.h"
+#include "report.h"
 #include "sim/sources.h"
 
 using namespace bistro;
@@ -218,23 +217,8 @@ void Throughput() {
 
 // ------------------------------------------------- E12: incremental sweep
 
-struct SweepResult {
-  size_t names = 0;
-  size_t workers = 0;
-  double batch_sec = 0;
-  double incremental_sec = 0;
-  double speedup = 0;
-  double folds_per_sec = 0;
-  size_t clusters = 0;
-  size_t feeds = 0;
-};
-
-double Seconds(std::chrono::steady_clock::time_point t0,
-               std::chrono::steady_clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-void IncrementalSweep(bool quick, const std::string& out_path) {
+/// Returns false when the snapshot cannot be written.
+bool IncrementalSweep(bool quick, const std::string& out_path) {
   std::printf("\n--- E12: incremental vs batch analysis, size x workers ---\n");
   // The corpus streams in over `cycles` analysis sweeps, the scenario the
   // analyzer daemon actually runs: with the default 10-minute
@@ -250,9 +234,8 @@ void IncrementalSweep(bool quick, const std::string& out_path) {
   DiscoveryOptions discovery;
   discovery.min_support = 3;
 
-  std::printf("%-9s %-8s %11s %11s %9s %13s %9s\n", "names", "workers",
-              "batch_sec", "incr_sec", "speedup", "folds/sec", "clusters");
-  std::vector<SweepResult> results;
+  bench::Table table;
+  std::vector<bench::Row> results;
   for (size_t names : sizes) {
     Rng rng(1912);
     CorpusGenerator gen(&rng);
@@ -267,29 +250,30 @@ void IncrementalSweep(bool quick, const std::string& out_path) {
     // (DiscoverFeeds is single-threaded), so time it once per size.
     std::vector<FileObservation> history;
     history.reserve(corpus.size());
-    auto b0 = std::chrono::steady_clock::now();
+    const double b0 = bench::NowSeconds();
     size_t batch_feeds = 0;
     for (size_t off = 0; off < corpus.size(); off += delta) {
       size_t end = std::min(off + delta, corpus.size());
       history.insert(history.end(), corpus.begin() + off, corpus.begin() + end);
       batch_feeds = DiscoverFeeds(history, discovery).feeds.size();
     }
-    double batch_sec = Seconds(b0, std::chrono::steady_clock::now());
+    const double batch_sec = bench::NowSeconds() - b0;
 
     for (size_t workers : worker_sweep) {
       ThreadPool pool(workers);
       ThreadPool* p = workers > 0 ? &pool : nullptr;
       IncrementalCorpus::Options copts;
-      copts.max_corpus = corpus.size();  // same population as the baseline
+      // Same population as the baseline.
+      copts.max_corpus = static_cast<int>(corpus.size());
       IncrementalCorpus inc(copts);
-      auto i0 = std::chrono::steady_clock::now();
+      const double i0 = bench::NowSeconds();
       size_t inc_feeds = 0;
       for (size_t off = 0; off < corpus.size(); off += delta) {
         size_t end = std::min(off + delta, corpus.size());
         inc.ObserveBatch({corpus.begin() + off, corpus.begin() + end}, p);
         inc_feeds = inc.Induce(discovery, p).feeds.size();
       }
-      double inc_sec = Seconds(i0, std::chrono::steady_clock::now());
+      const double inc_sec = bench::NowSeconds() - i0;
       if (inc_feeds != batch_feeds) {
         std::fprintf(stderr,
                      "E12 MISMATCH at %zu names: batch %zu feeds vs "
@@ -297,19 +281,19 @@ void IncrementalSweep(bool quick, const std::string& out_path) {
                      names, batch_feeds, inc_feeds);
       }
 
-      SweepResult r;
-      r.names = corpus.size();
-      r.workers = workers;
-      r.batch_sec = batch_sec;
-      r.incremental_sec = inc_sec;
-      r.speedup = inc_sec > 0 ? batch_sec / inc_sec : 0;
-      r.folds_per_sec = inc_sec > 0 ? double(corpus.size()) / inc_sec : 0;
-      r.clusters = inc.cluster_count();
-      r.feeds = inc_feeds;
-      results.push_back(r);
-      std::printf("%-9zu %-8zu %11.3f %11.3f %8.1fx %13.0f %9zu\n", r.names,
-                  r.workers, r.batch_sec, r.incremental_sec, r.speedup,
-                  r.folds_per_sec, r.clusters);
+      const double speedup = inc_sec > 0 ? batch_sec / inc_sec : 0;
+      const double folds = inc_sec > 0 ? double(corpus.size()) / inc_sec : 0;
+      results.push_back({
+          {"names", "names", "%zu", corpus.size(), 8},
+          {"workers", "workers", "%zu", workers},
+          {"batch_sec", "batch_sec", "%.4f", batch_sec},
+          {"incremental_sec", "incr_sec", "%.4f", inc_sec, 9},
+          {"speedup", "speedup", "%.2f", speedup},
+          {"folds_per_sec", "folds/sec", "%.0f", folds},
+          {"clusters", "clusters", "%zu", inc.cluster_count()},
+          {"feeds", "feeds", "%zu", inc_feeds},
+      });
+      table.Print(results.back());
     }
   }
 
@@ -325,50 +309,30 @@ void IncrementalSweep(bool quick, const std::string& out_path) {
     IncrementalCorpus::Options copts;
     copts.max_corpus = 10000;
     IncrementalCorpus inc(copts);
-    auto t0 = std::chrono::steady_clock::now();
+    const double t0 = bench::NowSeconds();
     inc.ObserveBatch(corpus);
-    double sec = Seconds(t0, std::chrono::steady_clock::now());
-    std::printf("bounded: %zu names through a %zu budget in %.3fs "
+    const double sec = bench::NowSeconds() - t0;
+    std::printf("bounded: %zu names through a %d budget in %.3fs "
                 "(retained %zu, shed %llu, clusters %zu)\n",
                 corpus.size(), copts.max_corpus, sec, inc.size(),
                 (unsigned long long)inc.stats().shed, inc.cluster_count());
   }
 
-  std::string json = StrFormat(
-      "{\n  \"bench\": \"analyzer\",\n  \"quick\": %s,\n"
-      "  \"cycles\": %zu,\n  \"results\": [\n",
-      quick ? "true" : "false", cycles);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const SweepResult& r = results[i];
-    json += StrFormat(
-        "    {\"names\": %zu, \"workers\": %zu, \"batch_sec\": %.4f, "
-        "\"incremental_sec\": %.4f, \"speedup\": %.2f, "
-        "\"folds_per_sec\": %.0f, \"clusters\": %zu, \"feeds\": %zu}%s\n",
-        r.names, r.workers, r.batch_sec, r.incremental_sec, r.speedup,
-        r.folds_per_sec, r.clusters, r.feeds,
-        i + 1 < results.size() ? "," : "");
-  }
-  json += "  ]\n}\n";
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-  }
+  bench::Document doc("analyzer");
+  doc.Add({"quick", nullptr, "%s", quick});
+  doc.Add({"cycles", nullptr, "%zu", cycles});
+  doc.Add("results", results);
+  return doc.Write(out_path);
 }
 
 }  // namespace
 
 int main() {
-  const bool quick = std::getenv("BISTRO_BENCH_QUICK") != nullptr;
-  const char* out_env = std::getenv("BISTRO_BENCH_OUT");
-  const std::string out_path =
-      out_env != nullptr ? out_env : "BENCH_analyzer.json";
   std::printf("=== E7/E12: feed analyzer quality and throughput ===\n\n");
   DiscoveryQuality();
   FalseNegativeDetection();
   Throughput();
-  IncrementalSweep(quick, out_path);
-  return 0;
+  const bool wrote =
+      IncrementalSweep(bench::Quick(), bench::OutPath("BENCH_analyzer.json"));
+  return wrote ? 0 : 1;
 }

@@ -29,7 +29,6 @@
 //   BISTRO_BENCH_QUICK  non-empty -> smaller corpus, scale stops at 10^4
 //   BISTRO_BENCH_OUT    JSON output path (default BENCH_classifier.json)
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -40,6 +39,7 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "config/parser.h"
+#include "report.h"
 
 using namespace bistro;
 
@@ -134,19 +134,13 @@ struct RunResult {
   AutomatonStats automaton;
 };
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 RunResult RunOne(const Workload& w, FeedClassifier::IndexMode mode,
                  FeedRegistry* registry, int num_feeds,
                  const std::vector<std::string>& names) {
   FeedClassifier classifier(registry, mode);
-  double t_compile0 = NowMs();
+  const double t_compile0 = bench::NowSeconds();
   classifier.Rebuild();
-  double compile_ms = NowMs() - t_compile0;
+  const double compile_ms = (bench::NowSeconds() - t_compile0) * 1e3;
 
   // Warm-up pass over a slice: faults the tables in and settles the
   // branch predictors before the timed pass.
@@ -154,9 +148,9 @@ RunResult RunOne(const Workload& w, FeedClassifier::IndexMode mode,
   for (size_t i = 0; i < warm; ++i) (void)classifier.Classify(names[i]);
   classifier.ResetStats();
 
-  double t0 = NowMs();
+  const double t0 = bench::NowSeconds();
   for (const std::string& name : names) (void)classifier.Classify(name);
-  double elapsed_ms = NowMs() - t0;
+  const double elapsed_sec = bench::NowSeconds() - t0;
 
   ClassifierStats stats = classifier.stats();
   RunResult r;
@@ -164,7 +158,7 @@ RunResult RunOne(const Workload& w, FeedClassifier::IndexMode mode,
   r.mode = std::string(IndexModeName(mode));
   r.feeds = num_feeds;
   r.files = names.size();
-  r.ns_per_file = elapsed_ms * 1e6 / static_cast<double>(names.size());
+  r.ns_per_file = elapsed_sec * 1e9 / static_cast<double>(names.size());
   r.checks_per_file = static_cast<double>(stats.candidate_checks) /
                       static_cast<double>(stats.files);
   r.matched_pct =
@@ -179,20 +173,15 @@ RunResult RunOne(const Workload& w, FeedClassifier::IndexMode mode,
 }  // namespace
 
 int main() {
-  const bool quick = std::getenv("BISTRO_BENCH_QUICK") != nullptr;
-  const char* out_env = std::getenv("BISTRO_BENCH_OUT");
-  const std::string out_path =
-      out_env != nullptr ? out_env : "BENCH_classifier.json";
+  const bool quick = bench::Quick();
 
   const size_t linear_names = quick ? 2000 : 6000;
   const size_t fast_names = quick ? 10000 : 40000;
 
   std::printf("=== Classifier: workload x mode sweep%s ===\n\n",
               quick ? " (quick)" : "");
-  std::printf("%-14s %-9s %7s %10s %12s %9s %11s\n", "workload", "mode",
-              "feeds", "ns/file", "checks/file", "matched", "compile ms");
-
-  std::vector<RunResult> sweep;
+  bench::Table sweep_table;
+  std::vector<bench::Row> sweep;
   double trie_shared_1000 = 0, automaton_shared_1000 = 0;
   for (const Workload& w : kWorkloads) {
     for (int num_feeds : {100, 1000}) {
@@ -219,10 +208,17 @@ int main() {
             automaton_shared_1000 = r.ns_per_file;
           }
         }
-        sweep.push_back(r);
-        std::printf("%-14s %-9s %7d %10.0f %12.1f %8.1f%% %11.1f\n",
-                    r.workload.c_str(), r.mode.c_str(), r.feeds, r.ns_per_file,
-                    r.checks_per_file, r.matched_pct, r.compile_ms);
+        sweep.push_back({
+            {"workload", "workload", "%s", r.workload, 14},
+            {"mode", "mode", "%s", r.mode, 9},
+            {"feeds", "feeds", "%d", r.feeds},
+            {"files", "files", "%zu", r.files},
+            {"ns_per_file", "ns/file", "%.1f", r.ns_per_file, 8},
+            {"checks_per_file", "checks/file", "%.2f", r.checks_per_file},
+            {"matched_pct", "matched %", "%.1f", r.matched_pct},
+            {"compile_ms", "compile ms", "%.2f", r.compile_ms},
+        });
+        sweep_table.Print(sweep.back());
       }
     }
     std::printf("\n");
@@ -262,10 +258,8 @@ int main() {
   if (!quick) scales.push_back(100000);
 
   std::printf("=== Automaton scale sweep (m<NNNNN>_%%i.csv) ===\n\n");
-  std::printf("%7s %10s %11s %11s %9s %9s %10s %10s\n", "feeds", "ns/file",
-              "compile ms", "dfa states", "dense", "sparse", "accepts",
-              "table MB");
-  std::vector<RunResult> scale_rows;
+  bench::Table scale_table;
+  std::vector<bench::Row> scale_rows;
   double scale_base_ns = 0, scale_top_ns = 0;
   for (int num_feeds : scales) {
     auto registry = MakeRegistry(BuildConfig(scale_workload, num_feeds));
@@ -274,14 +268,19 @@ int main() {
                          registry.get(), num_feeds, names);
     if (num_feeds == 1000) scale_base_ns = r.ns_per_file;
     scale_top_ns = r.ns_per_file;
-    scale_rows.push_back(r);
-    std::printf("%7d %10.0f %11.1f %11llu %9llu %9llu %10llu %10.1f\n",
-                r.feeds, r.ns_per_file, r.compile_ms,
-                (unsigned long long)r.automaton.dfa_states,
-                (unsigned long long)r.automaton.dense_rows,
-                (unsigned long long)r.automaton.sparse_rows,
-                (unsigned long long)r.automaton.accept_sets,
-                static_cast<double>(r.automaton.memory_bytes) / 1e6);
+    const AutomatonStats& a = r.automaton;
+    scale_rows.push_back({
+        {"feeds", "feeds", "%d", r.feeds, 6},
+        {"ns_per_file", "ns/file", "%.1f", r.ns_per_file},
+        {"compile_ms", "compile ms", "%.2f", r.compile_ms},
+        {"dfa_states", "dfa states", "%llu", (unsigned long long)a.dfa_states},
+        {"dense_rows", "dense", "%llu", (unsigned long long)a.dense_rows, 6},
+        {"sparse_rows", "sparse", "%llu", (unsigned long long)a.sparse_rows},
+        {"accept_sets", "accepts", "%llu", (unsigned long long)a.accept_sets},
+        {"memory_bytes", "table bytes", "%llu",
+         (unsigned long long)a.memory_bytes},
+    });
+    scale_table.Print(scale_rows.back());
   }
   std::printf("\n");
 
@@ -289,47 +288,14 @@ int main() {
       automaton_shared_1000 > 0 ? trie_shared_1000 / automaton_shared_1000 : 0;
   const double flatness = scale_base_ns > 0 ? scale_top_ns / scale_base_ns : 0;
 
-  std::string json = StrFormat(
-      "{\n  \"bench\": \"classifier\",\n  \"quick\": %s,\n"
-      "  \"sweep\": [\n",
-      quick ? "true" : "false");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const RunResult& r = sweep[i];
-    json += StrFormat(
-        "    {\"workload\": \"%s\", \"mode\": \"%s\", \"feeds\": %d, "
-        "\"files\": %zu, \"ns_per_file\": %.1f, \"checks_per_file\": %.2f, "
-        "\"matched_pct\": %.1f, \"compile_ms\": %.2f}%s\n",
-        r.workload.c_str(), r.mode.c_str(), r.feeds, r.files, r.ns_per_file,
-        r.checks_per_file, r.matched_pct, r.compile_ms,
-        i + 1 < sweep.size() ? "," : "");
-  }
-  json += "  ],\n  \"scale\": [\n";
-  for (size_t i = 0; i < scale_rows.size(); ++i) {
-    const RunResult& r = scale_rows[i];
-    json += StrFormat(
-        "    {\"feeds\": %d, \"ns_per_file\": %.1f, \"compile_ms\": %.2f, "
-        "\"dfa_states\": %llu, \"dense_rows\": %llu, \"sparse_rows\": %llu, "
-        "\"accept_sets\": %llu, \"memory_bytes\": %llu}%s\n",
-        r.feeds, r.ns_per_file, r.compile_ms,
-        (unsigned long long)r.automaton.dfa_states,
-        (unsigned long long)r.automaton.dense_rows,
-        (unsigned long long)r.automaton.sparse_rows,
-        (unsigned long long)r.automaton.accept_sets,
-        (unsigned long long)r.automaton.memory_bytes,
-        i + 1 < scale_rows.size() ? "," : "");
-  }
-  json += StrFormat(
-      "  ],\n  \"speedup_vs_trie_shared_prefix_1000\": %.2f,\n"
-      "  \"scale_per_file_ratio\": %.3f,\n  \"scale_top_feeds\": %d\n}\n",
-      speedup, flatness, scales.back());
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  bench::Document doc("classifier");
+  doc.Add({"quick", nullptr, "%s", quick});
+  doc.Add("sweep", sweep);
+  doc.Add("scale", scale_rows);
+  doc.Add({"speedup_vs_trie_shared_prefix_1000", nullptr, "%.2f", speedup});
+  doc.Add({"scale_per_file_ratio", nullptr, "%.3f", flatness});
+  doc.Add({"scale_top_feeds", nullptr, "%d", scales.back()});
+  if (!doc.Write(bench::OutPath("BENCH_classifier.json"))) return 1;
 
   std::printf("\nExpected shape: on shared-prefix and prefixless tables the "
               "trie's candidate\nloop degenerates to ~feeds checks per file "

@@ -37,6 +37,7 @@
 #include "config/parser.h"
 #include "core/server.h"
 #include "fanout/group.h"
+#include "report.h"
 #include "sched/scheduler.h"
 #include "sim/network.h"
 #include "trigger/trigger.h"
@@ -448,10 +449,7 @@ FanoutResult RunFanout(const char* label, int groups, int members_per_group,
 }  // namespace
 
 int main() {
-  const bool quick = std::getenv("BISTRO_BENCH_QUICK") != nullptr;
-  const char* out_env = std::getenv("BISTRO_BENCH_OUT");
-  const std::string out_path =
-      out_env != nullptr ? out_env : "BENCH_delivery.json";
+  const bool quick = bench::Quick();
   const int num_files = quick ? 120 : 400;
   const size_t payload_bytes = 2000;
 
@@ -465,12 +463,10 @@ int main() {
               "(%d files x %zu B, WAN 40ms/4MBps, fsync %lld us%s) ===\n\n",
               num_files, payload_bytes,
               (long long)(kSyncCost / kMicrosecond), quick ? ", quick" : "");
-  std::printf("%-7s %-18s %9s %11s %8s %7s %6s %7s %8s\n", "fanout", "config",
-              "sim sec", "files/sec", "speedup", "reads", "hits", "frames",
-              "flushes");
 
   const std::vector<int> fanout_sweep = {1, 4, 8};
-  std::vector<RunResult> results;
+  bench::Table table;
+  std::vector<bench::Row> results;
   double fastpath_at_8 = 0, lockstep_at_8 = 0;
   for (int fanout : fanout_sweep) {
     double baseline = 0;
@@ -484,13 +480,21 @@ int main() {
       if (fanout == 8 && std::string(cfg.name) == "fastpath") {
         fastpath_at_8 = r.files_per_sec;
       }
-      results.push_back(r);
-      std::printf("%-7d %-18s %9.3f %11.0f %7.2fx %7llu %6llu %7llu %8llu\n",
-                  r.fanout, r.config.c_str(), r.sim_seconds, r.files_per_sec,
-                  r.speedup, (unsigned long long)r.staging_reads,
-                  (unsigned long long)r.cache_hits,
-                  (unsigned long long)r.coalesced_frames,
-                  (unsigned long long)r.receipt_flushes);
+      results.push_back({
+          {"config", "config", "%s", r.config, 18},
+          {"fanout", "fanout", "%d", r.fanout},
+          {"sim_seconds", "sim sec", "%.4f", r.sim_seconds, 8},
+          {"files_per_sec", "files/sec", "%.1f", r.files_per_sec},
+          {"speedup_vs_lockstep", "speedup", "%.3f", r.speedup},
+          {"staging_reads", "reads", "%llu",
+           (unsigned long long)r.staging_reads, 6},
+          {"cache_hits", "hits", "%llu", (unsigned long long)r.cache_hits, 6},
+          {"coalesced_frames", "frames", "%llu",
+           (unsigned long long)r.coalesced_frames},
+          {"receipt_group_flushes", "flushes", "%llu",
+           (unsigned long long)r.receipt_flushes},
+      });
+      table.Print(results.back());
     }
     std::printf("\n");
   }
@@ -498,74 +502,52 @@ int main() {
   // High-fanout sweep: one send + one receipt row per group buys flat
   // engine cost while member count grows 4 orders of magnitude.
   const int fanout_files = quick ? 30 : 60;
-  std::vector<std::pair<const char*, std::pair<int, int>>> fanout_rows = {
+  std::vector<std::pair<const char*, std::pair<int, int>>> fanout_shapes = {
       {"plain8", {0, 8}},
       {"groups-1k", {10, 100}},
       {"groups-10k", {20, 500}},
   };
-  if (!quick) fanout_rows.push_back({"groups-100k", {100, 1000}});
+  if (!quick) fanout_shapes.push_back({"groups-100k", {100, 1000}});
 
   std::printf("=== Subscriber-group fanout: %d files x %zu B ===\n\n",
               fanout_files, payload_bytes);
-  std::printf("%-12s %11s %7s %8s %9s %11s %14s %9s\n", "label", "subscribers",
-              "groups", "members", "sim sec", "files/sec", "deliveries/sec",
-              "vs plain8");
-  std::vector<FanoutResult> fanout_results;
+  bench::Table fanout_table;
+  std::vector<bench::Row> fanout_rows;
+  FanoutResult big;  // the last, largest shape
   double plain8_file_rate = 0;
-  for (const auto& [label, shape] : fanout_rows) {
+  for (const auto& [label, shape] : fanout_shapes) {
     FanoutResult r =
         RunFanout(label, shape.first, shape.second, fanout_files, payload);
     if (shape.first == 0) plain8_file_rate = r.file_rate;
     r.ratio_vs_plain8 = r.file_rate / plain8_file_rate;
-    fanout_results.push_back(r);
-    std::printf("%-12s %11llu %7d %8d %9.3f %11.1f %14.0f %8.2fx\n",
-                r.label.c_str(), (unsigned long long)r.subscribers, r.groups,
-                r.members_per_group, r.sim_seconds, r.file_rate,
-                r.delivery_rate, r.ratio_vs_plain8);
+    big = r;
+    fanout_rows.push_back({
+        {"label", "label", "%s", r.label, 12},
+        {"subscribers", "subscribers", "%llu",
+         (unsigned long long)r.subscribers},
+        {"groups", "groups", "%d", r.groups},
+        {"members_per_group", "members", "%d", r.members_per_group},
+        {"files", "files", "%d", r.files},
+        {"sim_seconds", "sim sec", "%.4f", r.sim_seconds, 8},
+        {"files_per_sec", "files/sec", "%.2f", r.file_rate},
+        {"member_deliveries_per_sec", "deliveries/sec", "%.0f",
+         r.delivery_rate},
+        {"file_rate_vs_plain8", "vs plain8", "%.3f", r.ratio_vs_plain8},
+    });
+    fanout_table.Print(fanout_rows.back());
   }
   std::printf("\n");
 
-  std::string json = StrFormat(
-      "{\n  \"bench\": \"delivery\",\n  \"quick\": %s,\n  \"files\": %d,\n"
-      "  \"payload_bytes\": %zu,\n  \"fsync_cost_us\": %lld,\n"
-      "  \"wan_latency_ms\": 40,\n  \"results\": [\n",
-      quick ? "true" : "false", num_files, payload_bytes,
-      (long long)(kSyncCost / kMicrosecond));
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    json += StrFormat(
-        "    {\"config\": \"%s\", \"fanout\": %d, \"sim_seconds\": %.4f, "
-        "\"files_per_sec\": %.1f, \"speedup_vs_lockstep\": %.3f, "
-        "\"staging_reads\": %llu, \"cache_hits\": %llu, "
-        "\"coalesced_frames\": %llu, \"receipt_group_flushes\": %llu}%s\n",
-        r.config.c_str(), r.fanout, r.sim_seconds, r.files_per_sec, r.speedup,
-        (unsigned long long)r.staging_reads, (unsigned long long)r.cache_hits,
-        (unsigned long long)r.coalesced_frames,
-        (unsigned long long)r.receipt_flushes,
-        i + 1 < results.size() ? "," : "");
-  }
-  json += "  ],\n  \"fanout\": [\n";
-  for (size_t i = 0; i < fanout_results.size(); ++i) {
-    const FanoutResult& r = fanout_results[i];
-    json += StrFormat(
-        "    {\"label\": \"%s\", \"subscribers\": %llu, \"groups\": %d, "
-        "\"members_per_group\": %d, \"files\": %d, \"sim_seconds\": %.4f, "
-        "\"files_per_sec\": %.2f, \"member_deliveries_per_sec\": %.0f, "
-        "\"file_rate_vs_plain8\": %.3f}%s\n",
-        r.label.c_str(), (unsigned long long)r.subscribers, r.groups,
-        r.members_per_group, r.files, r.sim_seconds, r.file_rate,
-        r.delivery_rate, r.ratio_vs_plain8,
-        i + 1 < fanout_results.size() ? "," : "");
-  }
-  json += "  ]\n}\n";
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  bench::Document doc("delivery");
+  doc.Add({"quick", nullptr, "%s", quick});
+  doc.Add({"files", nullptr, "%d", num_files});
+  doc.Add({"payload_bytes", nullptr, "%zu", payload_bytes});
+  doc.Add({"fsync_cost_us", nullptr, "%lld",
+           (long long)(kSyncCost / kMicrosecond)});
+  doc.Add({"wan_latency_ms", nullptr, "%d", 40});
+  doc.Add("results", results);
+  doc.Add("fanout", fanout_rows);
+  if (!doc.Write(bench::OutPath("BENCH_delivery.json"))) return 1;
 
   std::printf("\nExpected shape: windows overlap the 40ms WAN latency, "
               "coalescing cuts the\nper-transfer setups, grouped receipts "
@@ -583,7 +565,6 @@ int main() {
   std::printf("ACCEPTANCE PASS: %.2fx at fanout 8\n",
               fastpath_at_8 / lockstep_at_8);
   if (!quick) {
-    const FanoutResult& big = fanout_results.back();
     if (big.subscribers < 100000 ||
         big.file_rate * 2.0 < plain8_file_rate) {
       std::fprintf(stderr,

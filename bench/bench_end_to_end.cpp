@@ -14,16 +14,18 @@
 //   cooperating: deposit+notify (Bistro's lightweight client protocol);
 //   non-cooperating: sources drop files silently; the server scans the
 //     landing zone every 30 s (cheap, because ingest keeps it empty).
+//
+// Env:
+//   BISTRO_BENCH_OUT    JSON output path (default BENCH_e2e.json)
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/strings.h"
 #include "config/parser.h"
 #include "core/server.h"
 #include "obs/export.h"
+#include "report.h"
 #include "sim/sources.h"
 #include "vfs/memfs.h"
 
@@ -31,26 +33,7 @@ using namespace bistro;
 
 namespace {
 
-struct DelayStats {
-  std::vector<Duration> delays;
-
-  void Add(Duration d) { delays.push_back(d); }
-  Duration Percentile(double p) {
-    if (delays.empty()) return 0;
-    std::sort(delays.begin(), delays.end());
-    size_t idx = static_cast<size_t>(p * (delays.size() - 1));
-    return delays[idx];
-  }
-};
-
-struct ModeSummary {
-  bool cooperating = false;
-  uint64_t files = 0;
-  uint64_t bytes = 0;
-  Duration p50 = 0, p95 = 0, p99 = 0, max = 0;
-};
-
-ModeSummary RunMode(bool cooperating) {
+bench::Row RunMode(bool cooperating) {
   const int kFeeds = 120;
   const int kPollersPerFeed = 2;
   const Duration kPeriod = 5 * kMinute;
@@ -91,11 +74,6 @@ ModeSummary RunMode(bool cooperating) {
   transport.Register("warehouse", &warehouse);
 
   PartitionedScheduler scheduler;
-  DelayStats source_to_app;  // deposit -> delivered at subscriber
-  scheduler.SetCompletionHook(
-      [&](const TransferJob& job, bool ok, TimePoint now, Duration) {
-        if (ok) source_to_app.Add(now - job.arrival_time);
-      });
 
   MetricsRegistry metrics;
   BistroServer::Options server_options;
@@ -111,11 +89,11 @@ ModeSummary RunMode(bool cooperating) {
   // at ingest, which for scans happens at the NEXT scan tick — we want
   // true source-deposit-to-app delay, so measure from the write).
   std::map<std::string, TimePoint> deposited_at;
-  DelayStats deposit_to_app;
+  std::vector<Duration> deposit_to_app;
   warehouse.SetMessageHook([&](const Message& msg) {
     auto it = deposited_at.find(msg.name);
     if (it != deposited_at.end()) {
-      deposit_to_app.Add(clock.Now() - it->second);
+      deposit_to_app.push_back(clock.Now() - it->second);
     }
   });
 
@@ -165,17 +143,16 @@ ModeSummary RunMode(bool cooperating) {
   // Persist the full registry as a JSON artifact next to the bench output.
   std::string snapshot_path = StrFormat(
       "bench_metrics_%s.json", cooperating ? "cooperating" : "noncooperating");
-  std::string snapshot = ExportJson(&metrics);
-  if (std::FILE* f = std::fopen(snapshot_path.c_str(), "w")) {
-    std::fwrite(snapshot.data(), 1, snapshot.size(), f);
-    std::fclose(f);
+  if (bench::WriteFile(snapshot_path, ExportJson(&metrics))) {
     std::printf("metrics snapshot: %s (%zu metrics)\n", snapshot_path.c_str(),
                 metrics.size());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", snapshot_path.c_str());
   }
 
   ServerStats stats = (*server)->stats();
+  const Duration p50 = bench::Percentile(deposit_to_app, 0.50);
+  const Duration p95 = bench::Percentile(deposit_to_app, 0.95);
+  const Duration p99 = bench::Percentile(deposit_to_app, 0.99);
+  const Duration max = bench::Percentile(deposit_to_app, 1.0);
   std::printf("%-16s files %5llu  volume %9s (scaled 1:100 => %7s/day "
               "equivalent)\n",
               cooperating ? "cooperating" : "non-cooperating",
@@ -184,64 +161,41 @@ ModeSummary RunMode(bool cooperating) {
               HumanBytes(total_bytes * 24 * 100).c_str());
   std::printf("                 deposit->app delay p50 %-9s p95 %-9s p99 "
               "%-9s max %-9s\n",
-              FormatDuration(deposit_to_app.Percentile(0.50)).c_str(),
-              FormatDuration(deposit_to_app.Percentile(0.95)).c_str(),
-              FormatDuration(deposit_to_app.Percentile(0.99)).c_str(),
-              FormatDuration(deposit_to_app.Percentile(1.0)).c_str());
+              FormatDuration(p50).c_str(), FormatDuration(p95).c_str(),
+              FormatDuration(p99).c_str(), FormatDuration(max).c_str());
   std::printf("                 landing-zone residue after run: %zu files\n",
               [&] {
                 auto entries = fs.ListRecursive("/bistro/landing");
                 return entries.ok() ? entries->size() : size_t{0};
               }());
 
-  ModeSummary summary;
-  summary.cooperating = cooperating;
-  summary.files = stats.files_received;
-  summary.bytes = total_bytes;
-  summary.p50 = deposit_to_app.Percentile(0.50);
-  summary.p95 = deposit_to_app.Percentile(0.95);
-  summary.p99 = deposit_to_app.Percentile(0.99);
-  summary.max = deposit_to_app.Percentile(1.0);
-  return summary;
+  // The stdout lines above render these values for people; the JSON row
+  // keeps them raw.
+  auto us = [](Duration d) { return static_cast<long long>(d / kMicrosecond); };
+  return {
+      {"mode", nullptr, "%s", cooperating ? "cooperating" : "noncooperating"},
+      {"files", nullptr, "%llu", (unsigned long long)stats.files_received},
+      {"bytes", nullptr, "%llu", (unsigned long long)total_bytes},
+      {"delay_p50_us", nullptr, "%lld", us(p50)},
+      {"delay_p95_us", nullptr, "%lld", us(p95)},
+      {"delay_p99_us", nullptr, "%lld", us(p99)},
+      {"delay_max_us", nullptr, "%lld", us(max)},
+  };
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== E4: 120 feeds, scaled 300GB/day, propagation delay ===\n\n");
-  ModeSummary coop = RunMode(/*cooperating=*/true);
-  ModeSummary noncoop = RunMode(/*cooperating=*/false);
+  std::vector<bench::Row> modes;
+  modes.push_back(RunMode(/*cooperating=*/true));
+  modes.push_back(RunMode(/*cooperating=*/false));
   std::printf("\nExpected shape: cooperating sources see second-scale "
               "propagation;\nnon-cooperating sources add up to one scan "
               "interval (30s) — both sub-minute,\nmatching the paper's "
               "claim; the landing zone stays empty either way.\n");
 
-  // CI artifact: a compact summary of both modes (BISTRO_BENCH_JSON names
-  // the output path; unset means no file, matching the old behavior).
-  if (const char* out_path = std::getenv("BISTRO_BENCH_JSON")) {
-    std::string json = "{\n  \"bench\": \"end_to_end\",\n  \"modes\": [\n";
-    const ModeSummary* modes[] = {&coop, &noncoop};
-    for (size_t i = 0; i < 2; ++i) {
-      const ModeSummary& m = *modes[i];
-      json += StrFormat(
-          "    {\"mode\": \"%s\", \"files\": %llu, \"bytes\": %llu, "
-          "\"delay_p50_us\": %lld, \"delay_p95_us\": %lld, "
-          "\"delay_p99_us\": %lld, \"delay_max_us\": %lld}%s\n",
-          m.cooperating ? "cooperating" : "noncooperating",
-          (unsigned long long)m.files, (unsigned long long)m.bytes,
-          (long long)(m.p50 / kMicrosecond), (long long)(m.p95 / kMicrosecond),
-          (long long)(m.p99 / kMicrosecond), (long long)(m.max / kMicrosecond),
-          i == 0 ? "," : "");
-    }
-    json += "  ]\n}\n";
-    if (std::FILE* f = std::fopen(out_path, "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", out_path);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", out_path);
-      return 1;
-    }
-  }
-  return 0;
+  bench::Document doc("end_to_end");
+  doc.Add("modes", modes);
+  return doc.Write(bench::OutPath("BENCH_e2e.json")) ? 0 : 1;
 }

@@ -13,7 +13,6 @@
 // paid for in retries), while p99 deposit->delivered latency grows with p
 // as more files ride the backoff schedule. Nothing dead-letters.
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "obs/export.h"
+#include "report.h"
 #include "sim/sources.h"
 #include "vfs/memfs.h"
 
@@ -42,13 +42,6 @@ struct SweepResult {
   uint64_t injected = 0;
   Duration p50 = 0, p99 = 0, max = 0;
 };
-
-Duration Percentile(std::vector<Duration>* delays, double p) {
-  if (delays->empty()) return 0;
-  std::sort(delays->begin(), delays->end());
-  size_t idx = static_cast<size_t>(p * (delays->size() - 1));
-  return (*delays)[idx];
-}
 
 SweepResult RunPoint(double failure_prob, bool write_snapshot) {
   const Duration kRun = kHour;
@@ -133,14 +126,9 @@ subscriber app { feeds CPU; method push; }
 
   if (write_snapshot) {
     const char* path = "bench_metrics_faults.json";
-    std::string snapshot = ExportJson(&metrics);
-    if (std::FILE* f = std::fopen(path, "w")) {
-      std::fwrite(snapshot.data(), 1, snapshot.size(), f);
-      std::fclose(f);
+    if (bench::WriteFile(path, ExportJson(&metrics))) {
       std::printf("\nmetrics snapshot: %s (%zu metrics)\n", path,
                   metrics.size());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", path);
     }
   }
 
@@ -152,9 +140,9 @@ subscriber app { feeds CPU; method push; }
   r.retries = d.retries;
   r.dead_lettered = d.dead_lettered;
   r.injected = injector.injected();
-  r.p50 = Percentile(&delays, 0.50);
-  r.p99 = Percentile(&delays, 0.99);
-  r.max = Percentile(&delays, 1.0);
+  r.p50 = bench::Percentile(delays, 0.50);
+  r.p99 = bench::Percentile(delays, 0.99);
+  r.max = bench::Percentile(delays, 1.0);
   return r;
 }
 

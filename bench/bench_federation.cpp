@@ -29,8 +29,6 @@
 //   BISTRO_BENCH_QUICK  non-empty -> smaller corpus (CI smoke mode)
 //   BISTRO_BENCH_OUT    JSON output path (default BENCH_federation.json)
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,6 +43,7 @@
 #include "fault/partition.h"
 #include "federation/health.h"
 #include "net/socket_transport.h"
+#include "report.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
 
@@ -64,12 +63,6 @@ class CountingEndpoint : public Endpoint {
   }
   uint64_t received = 0;
 };
-
-double WallSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct RunResult {
   std::string transport;
@@ -98,13 +91,6 @@ Message MakeMessage(int i, const std::string& payload) {
   return msg;
 }
 
-void Percentiles(std::vector<double>* lat_us, RunResult* r) {
-  if (lat_us->empty()) return;
-  std::sort(lat_us->begin(), lat_us->end());
-  r->p50_us = (*lat_us)[lat_us->size() / 2];
-  r->p99_us = (*lat_us)[lat_us->size() * 99 / 100];
-}
-
 /// Windowed send loop shared by both legs: keep kWindow messages in
 /// flight, measure send→ack wall latency per message.
 template <typename SendFn, typename PumpFn>
@@ -118,15 +104,15 @@ RunResult Stream(const std::string& name, int files,
   int sent = 0, acked = 0, failed = 0;
   std::vector<double> lat_us;
   lat_us.reserve(files);
-  const double start = WallSeconds();
+  const double start = bench::NowSeconds();
   while (acked + failed < files) {
     while (sent < files && sent - acked - failed < kWindow) {
       const int i = sent++;
-      const double sent_at = WallSeconds();
+      const double sent_at = bench::NowSeconds();
       send(i, [&, sent_at](const Status& s) {
         if (s.ok()) {
           ++acked;
-          lat_us.push_back((WallSeconds() - sent_at) * 1e6);
+          lat_us.push_back((bench::NowSeconds() - sent_at) * 1e6);
         } else {
           ++failed;
           std::fprintf(stderr, "send %d failed: %s\n", i,
@@ -136,10 +122,11 @@ RunResult Stream(const std::string& name, int files,
     }
     pump();
   }
-  r.wall_seconds = WallSeconds() - start;
+  r.wall_seconds = bench::NowSeconds() - start;
   r.files_per_sec = files / r.wall_seconds;
   r.mb_per_sec = files * (payload.size() / 1e6) / r.wall_seconds;
-  Percentiles(&lat_us, &r);
+  r.p50_us = bench::Percentile(lat_us, 0.50);
+  r.p99_us = bench::Percentile(lat_us, 0.99);
   if (failed != 0) {
     std::fprintf(stderr, "%s: %d sends failed\n", name.c_str(), failed);
     std::exit(1);
@@ -210,14 +197,6 @@ struct PartitionResult {
   uint64_t severed_rejects = 0;      // reconnects bounced off the shim
 };
 
-double P50(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0 : v[v.size() / 2];
-}
-double Max(const std::vector<double>& v) {
-  return v.empty() ? 0 : *std::max_element(v.begin(), v.end());
-}
-
 /// Severs the link through the chaos harness for `outage` per cycle,
 /// heals, and measures how fast the health machine + transport recover.
 PartitionResult RunPartitionRecovery(int cycles, Duration outage) {
@@ -279,7 +258,7 @@ PartitionResult RunPartitionRecovery(int cycles, Duration outage) {
     }
 
     harness.Heal("srv");
-    const double healed = WallSeconds();
+    const double healed = bench::NowSeconds();
 
     // Heal -> first OK ack: keep one offer in flight (open-circuit
     // rejects bounce immediately) until a send round-trips.
@@ -294,7 +273,7 @@ PartitionResult RunPartitionRecovery(int cycles, Duration outage) {
       }
       loop.RunFor(kMillisecond);
     }
-    pr.first_ack_ms.push_back((WallSeconds() - healed) * 1e3);
+    pr.first_ack_ms.push_back((bench::NowSeconds() - healed) * 1e3);
 
     // Heal -> steady state: a full window streams to completion.
     const int kSteadyFiles = 64;
@@ -309,7 +288,7 @@ PartitionResult RunPartitionRecovery(int cycles, Duration outage) {
       }
       loop.RunFor(kMillisecond);
     }
-    pr.steady_ms.push_back((WallSeconds() - healed) * 1e3);
+    pr.steady_ms.push_back((bench::NowSeconds() - healed) * 1e3);
   }
 
   pr.fast_fails = tracker.fast_fails();
@@ -324,10 +303,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--partition") == 0) with_partition = true;
   }
-  const bool quick = std::getenv("BISTRO_BENCH_QUICK") != nullptr;
-  const char* out_env = std::getenv("BISTRO_BENCH_OUT");
-  const std::string out_path =
-      out_env != nullptr ? out_env : "BENCH_federation.json";
+  const bool quick = bench::Quick();
 
   struct Sweep {
     size_t payload_bytes;
@@ -345,44 +321,37 @@ int main(int argc, char** argv) {
       "=== Federation wire: loopback TCP vs SimTransport ceiling "
       "(window %d%s) ===\n\n",
       kWindow, quick ? ", quick" : "");
-  std::printf("%-10s %-6s %7s %9s %11s %9s %9s %9s\n", "payload", "wire",
-              "files", "wall sec", "files/sec", "MB/s", "p50 us", "p99 us");
-
   Rng payload_rng(42);
-  std::vector<RunResult> results;
+  bench::Table table;
+  std::vector<bench::Row> results;
   double ratio_at_64k = 0;
   for (const Sweep& s : sweep) {
     std::string payload = payload_rng.AlnumString(s.payload_bytes);
     RunResult sim = RunSim(s.files, payload);
     RunResult tcp = RunTcp(s.files, payload);
     for (const RunResult& r : {sim, tcp}) {
-      std::printf("%-10zu %-6s %7d %9.3f %11.0f %9.1f %9.0f %9.0f\n",
-                  r.payload_bytes, r.transport.c_str(), r.files,
-                  r.wall_seconds, r.files_per_sec, r.mb_per_sec, r.p50_us,
-                  r.p99_us);
-      results.push_back(r);
+      results.push_back({
+          {"transport", "wire", "%s", r.transport},
+          {"payload_bytes", "payload", "%zu", r.payload_bytes, 8},
+          {"files", "files", "%d", r.files},
+          {"wall_seconds", "wall sec", "%.4f", r.wall_seconds},
+          {"files_per_sec", "files/sec", "%.1f", r.files_per_sec},
+          {"mb_per_sec", "MB/s", "%.1f", r.mb_per_sec, 6},
+          {"p50_us", "p50 us", "%.0f", r.p50_us},
+          {"p99_us", "p99 us", "%.0f", r.p99_us},
+      });
+      table.Print(results.back());
     }
     double ratio = tcp.files_per_sec / sim.files_per_sec;
     if (s.payload_bytes == (64u << 10)) ratio_at_64k = ratio;
-    std::printf("%-10s tcp/sim throughput ratio: %.2fx\n\n", "",
-                ratio);
+    std::printf("tcp/sim throughput ratio: %.2fx\n\n", ratio);
   }
 
-  std::string json = StrFormat(
-      "{\n  \"bench\": \"federation\",\n  \"quick\": %s,\n"
-      "  \"window\": %d,\n  \"results\": [\n",
-      quick ? "true" : "false", kWindow);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    json += StrFormat(
-        "    {\"transport\": \"%s\", \"payload_bytes\": %zu, "
-        "\"files\": %d, \"wall_seconds\": %.4f, \"files_per_sec\": %.1f, "
-        "\"mb_per_sec\": %.1f, \"p50_us\": %.0f, \"p99_us\": %.0f}%s\n",
-        r.transport.c_str(), r.payload_bytes, r.files, r.wall_seconds,
-        r.files_per_sec, r.mb_per_sec, r.p50_us, r.p99_us,
-        i + 1 < results.size() ? "," : "");
-  }
-  json += StrFormat("  ],\n  \"tcp_vs_sim_at_64k\": %.3f", ratio_at_64k);
+  bench::Document doc("federation");
+  doc.Add({"quick", nullptr, "%s", quick});
+  doc.Add({"window", nullptr, "%d", kWindow});
+  doc.Add("results", results);
+  doc.Add({"tcp_vs_sim_at_64k", nullptr, "%.3f", ratio_at_64k});
 
   if (with_partition) {
     const int cycles = quick ? 3 : 5;
@@ -390,39 +359,33 @@ int main(int argc, char** argv) {
         RunPartitionRecovery(cycles, /*outage=*/300 * kMillisecond);
     std::printf(
         "=== Partition recovery (chaos harness + health tracker, %d "
-        "cycles, %.0f ms outage) ===\n\n",
+        "cycles, %.0f ms outage) ===\n"
+        "ack: heal -> first acked send; steady: heal -> a full window "
+        "re-streamed;\nfast fails: sends refused by the open circuit; "
+        "rejects: reconnects bounced\noff the severed link\n\n",
         pr.cycles, pr.outage_ms);
-    std::printf("%-26s %9s %9s\n", "", "p50 ms", "max ms");
-    std::printf("%-26s %9.1f %9.1f\n", "heal -> first ack",
-                P50(pr.first_ack_ms), Max(pr.first_ack_ms));
-    std::printf("%-26s %9.1f %9.1f\n", "heal -> steady state",
-                P50(pr.steady_ms), Max(pr.steady_ms));
-    std::printf(
-        "circuit fast-fails during outages: %llu; reconnects bounced "
-        "off the severed link: %llu\n\n",
-        (unsigned long long)pr.fast_fails,
-        (unsigned long long)pr.severed_rejects);
-    json += StrFormat(
-        ",\n  \"partition\": {\"cycles\": %d, \"outage_ms\": %.0f, "
-        "\"heal_to_first_ack_ms_p50\": %.1f, "
-        "\"heal_to_first_ack_ms_max\": %.1f, "
-        "\"heal_to_steady_ms_p50\": %.1f, \"heal_to_steady_ms_max\": %.1f, "
-        "\"fast_fails\": %llu, \"severed_rejects\": %llu}",
-        pr.cycles, pr.outage_ms, P50(pr.first_ack_ms), Max(pr.first_ack_ms),
-        P50(pr.steady_ms), Max(pr.steady_ms),
-        (unsigned long long)pr.fast_fails,
-        (unsigned long long)pr.severed_rejects);
+    const bench::Row partition = {
+        {"cycles", "cycles", "%d", pr.cycles},
+        {"outage_ms", "outage ms", "%.0f", pr.outage_ms},
+        {"heal_to_first_ack_ms_p50", "ack p50 ms", "%.1f",
+         bench::Percentile(pr.first_ack_ms, 0.50)},
+        {"heal_to_first_ack_ms_max", "ack max ms", "%.1f",
+         bench::Percentile(pr.first_ack_ms, 1.0)},
+        {"heal_to_steady_ms_p50", "steady p50 ms", "%.1f",
+         bench::Percentile(pr.steady_ms, 0.50)},
+        {"heal_to_steady_ms_max", "steady max ms", "%.1f",
+         bench::Percentile(pr.steady_ms, 1.0)},
+        {"fast_fails", "fast fails", "%llu",
+         (unsigned long long)pr.fast_fails},
+        {"severed_rejects", "rejects", "%llu",
+         (unsigned long long)pr.severed_rejects},
+    };
+    bench::Table().Print(partition);
+    std::printf("\n");
+    doc.Add("partition", partition);
   }
 
-  json += "\n}\n";
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  if (!doc.Write(bench::OutPath("BENCH_federation.json"))) return 1;
 
   std::printf(
       "\nExpected shape: the sim leg is the zero-wire protocol-CPU "

@@ -52,6 +52,7 @@
 #include "ingest/pipeline.h"
 #include "ingest/plan.h"
 #include "kv/receipts.h"
+#include "report.h"
 #include "sim/event_loop.h"
 #include "vfs/memfs.h"
 
@@ -209,13 +210,13 @@ RunResult RunOne(int workers, size_t batch, int num_files,
     files.push_back(std::move(f));
   }
 
-  auto t0 = std::chrono::steady_clock::now();
+  const double t0 = bench::NowSeconds();
   pipeline.Start();
   for (const IncomingFile& f : files) {
     if (!pipeline.Submit(f).ok()) std::abort();
   }
   pipeline.WaitIdle();
-  auto t1 = std::chrono::steady_clock::now();
+  const double seconds = bench::NowSeconds() - t0;
   loop.RunUntilIdle();  // drain completion callbacks (not timed)
 
   IngestStats stats = pipeline.stats();
@@ -229,24 +230,16 @@ RunResult RunOne(int workers, size_t batch, int num_files,
   r.workers = workers;
   r.batch = batch;
   r.files = num_files;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.seconds = seconds;
   r.files_per_sec = num_files / r.seconds;
   r.mb_per_sec = static_cast<double>(total_bytes) / 1e6 / r.seconds;
   return r;
 }
 
-struct PlanResult {
-  std::string mode;
-  std::string clauses;
-  double seconds = 0;
-  double files_per_sec = 0;
-  double overhead_pct = 0;  // vs the "none" baseline, same config
-};
-
 /// One row per plan hook at the E10 headline config (4 workers,
 /// batch 32). Every mode admits the full corpus, so the committed-count
 /// invariant in RunOne keeps holding and the rows stay comparable.
-std::vector<PlanResult> RunPlanSweep(int num_files,
+std::vector<bench::Row> RunPlanSweep(int num_files,
                                      const std::vector<std::string>& payloads) {
   struct Mode {
     const char* name;
@@ -266,41 +259,26 @@ std::vector<PlanResult> RunPlanSweep(int num_files,
 
   std::printf("=== Ingestion-plan hook overhead "
               "(workers 4, batch 32, %d files) ===\n\n", num_files);
-  std::printf("%-20s %10s %12s %10s\n", "mode", "sec", "files/sec",
-              "overhead");
-
-  std::vector<PlanResult> results;
+  bench::Table table;
+  std::vector<bench::Row> results;
   double baseline = 0;
   for (const Mode& m : modes) {
     RunResult r = RunOne(/*workers=*/4, /*batch=*/32, num_files, payloads,
                          GroupedFeedConfig(m.clauses));
     if (baseline == 0) baseline = r.files_per_sec;
-    PlanResult p;
-    p.mode = m.name;
-    p.clauses = m.clauses;
-    p.seconds = r.seconds;
-    p.files_per_sec = r.files_per_sec;
-    p.overhead_pct = (baseline / r.files_per_sec - 1.0) * 100.0;
-    results.push_back(p);
-    std::printf("%-20s %10.3f %12.0f %9.1f%%\n", p.mode.c_str(), p.seconds,
-                p.files_per_sec, p.overhead_pct);
+    // Overhead against the "none" baseline at the same config.
+    const double overhead_pct = (baseline / r.files_per_sec - 1.0) * 100.0;
+    results.push_back({
+        {"mode", "mode", "%s", m.name, 20},
+        {"clauses", nullptr, "%s", m.clauses},
+        {"seconds", "sec", "%.4f", r.seconds, 8},
+        {"files_per_sec", "files/sec", "%.1f", r.files_per_sec},
+        {"overhead_pct", "overhead %", "%.2f", overhead_pct},
+    });
+    table.Print(results.back());
   }
   std::printf("\n");
   return results;
-}
-
-std::string PlansJson(const std::vector<PlanResult>& plan_results) {
-  std::string json = "  \"plans\": [\n";
-  for (size_t i = 0; i < plan_results.size(); ++i) {
-    const PlanResult& p = plan_results[i];
-    json += StrFormat(
-        "    {\"mode\": \"%s\", \"clauses\": \"%s\", \"seconds\": %.4f, "
-        "\"files_per_sec\": %.1f, \"overhead_pct\": %.2f}%s\n",
-        p.mode.c_str(), p.clauses.c_str(), p.seconds, p.files_per_sec,
-        p.overhead_pct, i + 1 < plan_results.size() ? "," : "");
-  }
-  json += "  ]\n";
-  return json;
 }
 
 }  // namespace
@@ -310,9 +288,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--plans") plans_only = true;
   }
-  const bool quick = std::getenv("BISTRO_BENCH_QUICK") != nullptr;
-  const char* out_env = std::getenv("BISTRO_BENCH_OUT");
-  const std::string out_path = out_env != nullptr ? out_env : "BENCH_ingest.json";
+  const bool quick = bench::Quick();
   const int num_files = quick ? 300 : 1200;
   const size_t payload_bytes = 64 * 1000;
 
@@ -324,14 +300,13 @@ int main(int argc, char** argv) {
     payloads.push_back(MakePayload(&rng, payload_bytes));
   }
 
-  std::vector<RunResult> results;
+  std::vector<bench::Row> results;
   if (!plans_only) {
     std::printf("=== Ingest pipeline: workers x batch sweep "
                 "(%d files x %zu KB, fsync %lld us%s) ===\n\n",
                 num_files, payload_bytes / 1000,
                 (long long)kSyncLatency.count(), quick ? ", quick" : "");
-    std::printf("%-8s %-6s %10s %12s %10s %9s\n", "workers", "batch", "sec",
-                "files/sec", "MB/s", "speedup");
+    bench::Table table;
 
     const std::vector<int> worker_sweep = {0, 1, 2, 4, 8};
     const std::vector<size_t> batch_sweep = {1, 8, 32};
@@ -341,44 +316,32 @@ int main(int argc, char** argv) {
         RunResult r = RunOne(workers, batch, num_files, payloads, FeedConfig());
         if (workers == 0) baseline = r.files_per_sec;
         r.speedup = r.files_per_sec / baseline;
-        results.push_back(r);
-        std::printf("%-8d %-6zu %10.3f %12.0f %10.1f %8.2fx\n", r.workers,
-                    r.batch, r.seconds, r.files_per_sec, r.mb_per_sec,
-                    r.speedup);
+        results.push_back({
+            {"workers", "workers", "%d", r.workers},
+            {"batch", "batch", "%zu", r.batch},
+            {"seconds", "sec", "%.4f", r.seconds, 8},
+            {"files_per_sec", "files/sec", "%.1f", r.files_per_sec},
+            {"mb_per_sec", "MB/s", "%.2f", r.mb_per_sec, 7},
+            {"speedup_vs_sync", "speedup", "%.3f", r.speedup},
+        });
+        table.Print(results.back());
       }
       std::printf("\n");
     }
   }
 
-  const std::vector<PlanResult> plan_results =
+  const std::vector<bench::Row> plan_results =
       RunPlanSweep(num_files, payloads);
 
-  std::string json = StrFormat(
-      "{\n  \"bench\": \"ingest\",\n  \"quick\": %s,\n  \"files\": %d,\n"
-      "  \"payload_bytes\": %zu,\n  \"fsync_latency_us\": %lld,\n"
-      "  \"results\": [\n",
-      quick ? "true" : "false", num_files, payload_bytes,
-      (long long)kSyncLatency.count());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    json += StrFormat(
-        "    {\"workers\": %d, \"batch\": %zu, \"seconds\": %.4f, "
-        "\"files_per_sec\": %.1f, \"mb_per_sec\": %.2f, "
-        "\"speedup_vs_sync\": %.3f}%s\n",
-        r.workers, r.batch, r.seconds, r.files_per_sec, r.mb_per_sec,
-        r.speedup, i + 1 < results.size() ? "," : "");
-  }
-  json += "  ],\n";
-  json += PlansJson(plan_results);
-  json += "}\n";
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  bench::Document doc("ingest");
+  doc.Add({"quick", nullptr, "%s", quick});
+  doc.Add({"files", nullptr, "%d", num_files});
+  doc.Add({"payload_bytes", nullptr, "%zu", payload_bytes});
+  doc.Add({"fsync_latency_us", nullptr, "%lld",
+           (long long)kSyncLatency.count()});
+  doc.Add("results", results);
+  doc.Add("plans", plan_results);
+  if (!doc.Write(bench::OutPath("BENCH_ingest.json"))) return 1;
 
   std::printf("\nExpected shape: workers overlap their staging fsyncs and "
               "(on multi-core\nhosts) the compression itself; larger receipt "

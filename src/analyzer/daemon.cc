@@ -5,28 +5,13 @@
 
 namespace bistro {
 
-namespace {
-
-IncrementalAnalyzer::Options StreamOptions(const AnalyzerDaemon::Options& o) {
-  IncrementalAnalyzer::Options stream;
-  stream.analyzer = o.analyzer;
-  stream.workers = static_cast<size_t>(o.workers);
-  stream.corpus.shards = static_cast<size_t>(o.shards);
-  stream.corpus.max_corpus = static_cast<size_t>(o.max_corpus);
-  stream.corpus.max_exemplars = o.max_exemplars;
-  return stream;
-}
-
-}  // namespace
-
 AnalyzerDaemon::AnalyzerDaemon(BistroServer* server, EventLoop* loop,
                                Logger* logger, Options options)
     : server_(server),
       loop_(loop),
       logger_(logger),
       options_(options),
-      incremental_(server->registry(), logger, server->metrics(),
-                   StreamOptions(options)) {
+      incremental_(server->registry(), logger, server->metrics(), options) {
   MetricsRegistry* metrics = server->metrics();
   passes_counter_ = metrics->GetCounter("bistro_analyzer_passes_total",
                                         "Analysis passes completed");

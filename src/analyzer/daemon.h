@@ -28,14 +28,9 @@ namespace bistro {
 /// exposed for subscriber review (§3.2).
 class AnalyzerDaemon {
  public:
-  /// The config's `analyzer { }` block plus the knobs without a key.
-  struct Options : AnalyzerTuningSpec {
-    explicit Options(const AnalyzerTuningSpec& tuning = {})
-        : AnalyzerTuningSpec(tuning) {}
-    FeedAnalyzer::Options analyzer;
-    /// Per-cluster exemplar reservoir size.
-    size_t max_exemplars = 512;
-  };
+  /// The config's `analyzer { }` block plus the knobs without a key; the
+  /// daemon runs every `cycle_interval`.
+  using Options = IncrementalAnalyzer::Options;
 
   AnalyzerDaemon(BistroServer* server, EventLoop* loop, Logger* logger,
                  Options options = Options());

@@ -45,16 +45,16 @@ DiscoveryResult SplitAndSort(std::vector<AtomicFeed> groups,
 // ===================================================== IncrementalCorpus
 
 IncrementalCorpus::IncrementalCorpus(Options options) : options_(options) {
-  if (options_.shards == 0) options_.shards = 1;
+  options_.shards = std::max(options_.shards, 1);
   if (options_.max_exemplars == 0) options_.max_exemplars = 1;
-  shards_.resize(options_.shards);
+  shards_.resize(static_cast<size_t>(options_.shards));
   for (size_t i = 0; i < shards_.size(); ++i) {
     shards_[i].rng = Rng(options_.seed ^ (0x9E3779B97F4A7C15ull * (i + 1)));
   }
   // Size the dedupe indexes for the retention budget up front (capped, in
   // case the budget is effectively unbounded) — growth rehashes are pure
   // overhead on the hot fold path.
-  const size_t reserve = std::min<size_t>(options_.max_corpus, 1 << 20);
+  const size_t reserve = std::min<size_t>(max_corpus(), 1 << 20);
   by_name_.reserve(reserve);
   ids_.reserve(reserve);
 }
@@ -166,7 +166,7 @@ bool IncrementalCorpus::Observe(const FileObservation& obs) {
   retained.signature = FoldIntoShard(retained.shard, obs);
   fifo_.push_back(&it->first);
   ids_.insert(id);
-  while (fifo_.size() > options_.max_corpus) EvictOldest();
+  while (fifo_.size() > max_corpus()) EvictOldest();
   return true;
 }
 
@@ -225,7 +225,7 @@ size_t IncrementalCorpus::ObserveBatch(
   }
   pool->Wait();
 
-  while (fifo_.size() > options_.max_corpus) EvictOldest();
+  while (fifo_.size() > max_corpus()) EvictOldest();
   return admitted;
 }
 
@@ -437,9 +437,10 @@ IncrementalAnalyzer::IncrementalAnalyzer(const FeedRegistry* registry,
     : registry_(registry),
       logger_(logger),
       options_(options),
-      unmatched_(options.corpus) {
+      unmatched_(options) {
   if (options_.workers > 0) {
-    pool_ = std::make_unique<ThreadPool>(options_.workers);
+    pool_ =
+        std::make_unique<ThreadPool>(static_cast<size_t>(options_.workers));
   }
   if (metrics != nullptr) {
     folds_counter_ = metrics->GetCounter(
@@ -492,7 +493,7 @@ bool IncrementalAnalyzer::ObserveUnmatched(const FileObservation& obs) {
 
 void IncrementalAnalyzer::ObserveMatched(const FeedName& feed,
                                          const FileObservation& obs) {
-  auto it = matched_.try_emplace(feed, options_.corpus).first;
+  auto it = matched_.try_emplace(feed, options_).first;
   it->second.Observe(obs);
 }
 

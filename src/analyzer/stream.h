@@ -15,6 +15,7 @@
 #include "analyzer/induction.h"
 #include "common/random.h"
 #include "common/threadpool.h"
+#include "config/spec.h"
 #include "obs/metrics.h"
 
 namespace bistro {
@@ -44,12 +45,14 @@ namespace bistro {
 /// golden-equivalence tests pin that property.
 class IncrementalCorpus {
  public:
-  struct Options {
-    Options() {}
-    /// Stem-keyed shards (cluster lookups and folds are per-shard).
-    size_t shards = 16;
-    /// Retained-name budget for the whole corpus (FIFO shed).
-    size_t max_corpus = 100000;
+  /// The config's `analyzer { }` block supplies `shards` (stem-keyed
+  /// shards; cluster lookups and folds are per-shard) and `max_corpus`
+  /// (retained-name budget for the whole corpus, FIFO shed); `workers`
+  /// and `cycle_interval` are read by IncrementalAnalyzer and
+  /// AnalyzerDaemon.
+  struct Options : AnalyzerTuningSpec {
+    explicit Options(const AnalyzerTuningSpec& tuning = {})
+        : AnalyzerTuningSpec(tuning) {}
     /// Per-cluster exemplar reservoir size.
     size_t max_exemplars = 512;
     /// Reservoir seed: sampling is deterministic per (seed, shard).
@@ -158,6 +161,9 @@ class IncrementalCorpus {
     const std::string* signature = nullptr;
   };
 
+  size_t max_corpus() const {
+    return static_cast<size_t>(options_.max_corpus);
+  }
   uint32_t ShardOf(const std::string& name) const;
   /// Tokenize + fold into the owning shard; returns the owning cluster's
   /// signature key. Only touches shard state.
@@ -187,15 +193,15 @@ class IncrementalCorpus {
 /// is O(live clusters), not O(retained names × registered groups).
 class IncrementalAnalyzer {
  public:
-  struct Options {
-    Options() {}
+  /// The corpus bounds (for the unmatched corpus and each matched-feed
+  /// sample) plus the batch analyzer's thresholds. `workers` threads fold
+  /// and induce shards; 0 = inline (the deterministic default; results
+  /// are identical either way).
+  struct Options : IncrementalCorpus::Options {
+    explicit Options(const AnalyzerTuningSpec& tuning = {})
+        : IncrementalCorpus::Options(tuning) {}
     /// Thresholds shared with the batch analyzer.
     FeedAnalyzer::Options analyzer;
-    /// Corpus bounds (shards, retention budget, reservoir).
-    IncrementalCorpus::Options corpus;
-    /// Worker threads folding and inducing shards. 0 = inline (the
-    /// deterministic default; results are identical either way).
-    size_t workers = 0;
   };
 
   /// `metrics` may be null (no instrumentation).

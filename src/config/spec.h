@@ -248,7 +248,8 @@ struct IngestTuningSpec {
 };
 
 /// Feed-analyzer tuning (the config's `analyzer { ... }` block);
-/// AnalyzerDaemon::Options extends it.
+/// IncrementalCorpus::Options extends it, and through it
+/// IncrementalAnalyzer::Options (which AnalyzerDaemon::Options names).
 struct AnalyzerTuningSpec {
   /// Worker threads folding/inducing corpus shards. 0 = inline
   /// deterministic analysis (results are identical either way).

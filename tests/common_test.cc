@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/backoff.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/queue.h"
@@ -323,6 +324,57 @@ TEST(LoggingTest, MinLevelFilters) {
   logger.Info("x", "dropped");
   logger.Warning("x", "kept");
   EXPECT_EQ(sink->Count(), 1u);
+}
+
+// ---------------------------------------------------------------- Backoff
+
+// Twelve consecutive waits from a fresh schedule.
+std::vector<Duration> Schedule(Duration min, Duration max, double multiplier,
+                               Rng* jitter) {
+  std::vector<Duration> waits;
+  Duration last = 0;
+  for (int i = 0; i < 12; ++i) {
+    last = NextBackoff(last, min, max, multiplier, jitter);
+    waits.push_back(last);
+  }
+  return waits;
+}
+
+// The expected sequences are what the delivery engine's and the socket
+// transport's own copies of this schedule produced before they shared
+// NextBackoff: every wait and every jitter draw is kept.
+TEST(BackoffScheduleTest, DeliveryRetriesWithJitter) {
+  Rng rng(0x42);  // DeliveryEngine::Options::backoff_seed
+  EXPECT_EQ(Schedule(2 * kSecond, 5 * kMinute, 2.0, &rng),
+            (std::vector<Duration>{2000000, 2266777, 4228376, 7313634,
+                                   8523018, 4201810, 5211618, 5474875,
+                                   2751594, 4601780, 6715021, 9719824}));
+}
+
+TEST(BackoffScheduleTest, DeliveryRetriesWithoutJitterDoubleToTheCap) {
+  EXPECT_EQ(Schedule(2 * kSecond, 5 * kMinute, 2.0, nullptr),
+            (std::vector<Duration>{2000000, 4000000, 8000000, 16000000,
+                                   32000000, 64000000, 128000000, 256000000,
+                                   300000000, 300000000, 300000000,
+                                   300000000}));
+}
+
+TEST(BackoffScheduleTest, SocketReconnectsTripleWithJitter) {
+  Rng rng(1);  // SocketTransport::Options::backoff_seed
+  EXPECT_EQ(Schedule(10 * kMillisecond, 30 * kMillisecond, 3.0, &rng),
+            (std::vector<Duration>{10000, 11507, 23447, 13383, 10035, 22644,
+                                   12377, 21264, 18334, 22418, 20933,
+                                   20669}));
+}
+
+TEST(BackoffScheduleTest, BaseEqualToCapWaitsTheBaseAndDrawsNothing) {
+  Rng rng(7), untouched(7);
+  EXPECT_EQ(Schedule(kSecond, kSecond, 2.0, &rng),
+            std::vector<Duration>(12, kSecond));
+  // A cap below the base is clamped to it.
+  EXPECT_EQ(Schedule(10 * kMillisecond, kMillisecond, 3.0, &rng),
+            std::vector<Duration>(12, 10 * kMillisecond));
+  EXPECT_EQ(rng.Next(), untouched.Next());
 }
 
 // ---------------------------------------------------------------- ThreadPool
